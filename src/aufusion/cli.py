@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .evaluate import (
     PipelineConfig,
+    _subsample,
     load_sidecar,
     loocv,
     render_report,
@@ -134,7 +135,6 @@ def _pipeline_from_args(args) -> PipelineConfig:
             reg_c=args.reg_c,
             max_epochs=args.rank_epochs,
             step_size=args.step_size,
-            seed=args.seed,
             smooth=not args.no_smooth,
         ),
         mlp=TrainConfig(
@@ -219,13 +219,7 @@ def cmd_fit_gmm(args) -> int:
         (Label.NONDEPRESSED, "gmm-nondepressed.json", 1),
     ):
         config = dataclasses.replace(pipeline.em, seed=pipeline.seed + seed_offset)
-        frames = pooled[label]
-        if pipeline.gmm_fit_frames is not None and frames.shape[0] > pipeline.gmm_fit_frames:
-            idx = np.round(
-                np.linspace(0, frames.shape[0] - 1, num=pipeline.gmm_fit_frames)
-            ).astype(int)
-            frames = frames[idx]
-        model = fit_em(frames, config)
+        model = fit_em(_subsample(pooled[label], pipeline.gmm_fit_frames), config)
         save_gmm(model, out / name, config)
         print(f"fitted {label.value}: {model.n} components -> {out / name}")
     _write_provenance(out, "fit-gmm", args)
@@ -412,7 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--jobs", type=int, default=None, help="parallel folds (default: CPUs)")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="parallel folds (default: the CPUs this process may run on)",
+    )
     p.add_argument(
         "--standardize",
         action="store_true",

@@ -305,7 +305,7 @@ def loocv(corpus: Corpus, pipeline: PipelineConfig, jobs: int | None = None) -> 
         if sum(1 for c in corpus.clips if c.label is label) < 2:
             raise ValueError("need at least two clips per class for leave-one-out")
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = len(os.sched_getaffinity(0))
 
     ids = [c.participant_id for c in corpus.clips]
     descriptors = pool_corpus(corpus, pipeline, jobs=jobs)

@@ -15,11 +15,19 @@ The solver is deterministic full-batch subgradient descent on a diminishing
 step schedule ``step_size / (1 + epoch)`` (normalized by the subgradient
 norm), with step halving until the objective does not increase, so the
 objective trace is non-increasing by construction.
+
+The solver works on the list of the n(n-1)/2 ordered pairs (a > b), not on
+n x n matrices. The pair indices are built once per window length and cached
+read-only, so every window of that length shares them. The hinge sum gathers
+the pair values in row-major order, as a masked lower triangle would, so the
+kernels and objective traces equal those of the matrix formulation bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +45,6 @@ class RankPoolConfig:
     reg_c: float = 1.0  # hinge-vs-regularizer trade-off
     max_epochs: int = 200
     step_size: float = 1.0
-    seed: int = 0  # reserved; the subgradient solver is deterministic
     smooth: bool = True  # running-mean smoothing before pair construction
 
     def __post_init__(self):
@@ -76,10 +83,13 @@ def smooth_frames(frames: np.ndarray) -> np.ndarray:
     return np.cumsum(frames, axis=0) / counts[:, None]
 
 
-def _objective(d: np.ndarray, scores: np.ndarray, margin: float, reg_c: float) -> float:
-    gaps = margin - (scores[:, None] - scores[None, :])  # gaps[a, b]
-    lower = np.tril(gaps, k=-1)  # pairs with a > b only
-    return 0.5 * float(d @ d) + reg_c * float(lower[lower > 0].sum())
+@lru_cache(maxsize=8)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every ordered pair (a > b), in row-major order."""
+    ia, ib = np.tril_indices(n, k=-1)
+    ia.setflags(write=False)
+    ib.setflags(write=False)
+    return ia, ib
 
 
 def solve_rank_kernel(
@@ -94,17 +104,22 @@ def solve_rank_kernel(
     n = v.shape[0]
     if n < 2:
         raise SegmentTooShort("need at least two frames to rank")
+    ia, ib = _pair_indices(n)
+    margin, reg_c = config.margin, config.reg_c
+
+    def evaluate(d: np.ndarray, scores: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective at ``d`` and the mask of pairs whose hinge is active."""
+        gaps = margin - (scores[ia] - scores[ib])
+        active = gaps > 0
+        return 0.5 * float(d @ d) + reg_c * float(gaps[active].sum()), active
 
     d = np.zeros(v.shape[1])
-    scores = v @ d
-    f_curr = _objective(d, scores, config.margin, config.reg_c)
+    f_curr, active = evaluate(d, v @ d)
     trace = [f_curr]
-    strict_lower = np.tril(np.ones((n, n), dtype=bool), k=-1)
 
     for epoch in range(config.max_epochs):
-        active = strict_lower & (scores[:, None] - scores[None, :] < config.margin)
-        coef = active.sum(axis=1) - active.sum(axis=0)
-        grad = d - config.reg_c * (v.T @ coef.astype(np.float64))
+        coef = np.bincount(ia[active], minlength=n) - np.bincount(ib[active], minlength=n)
+        grad = d - reg_c * (v.T @ coef.astype(np.float64))
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < 1e-12:
             break
@@ -112,8 +127,7 @@ def solve_rank_kernel(
         accepted = False
         for _ in range(60):
             d_try = d - eta * grad
-            scores_try = v @ d_try
-            f_try = _objective(d_try, scores_try, config.margin, config.reg_c)
+            f_try, active_try = evaluate(d_try, v @ d_try)
             if f_try <= f_curr:
                 accepted = True
                 break
@@ -121,7 +135,7 @@ def solve_rank_kernel(
         if not accepted:
             break
         improvement = f_curr - f_try
-        d, scores, f_curr = d_try, scores_try, f_try
+        d, active, f_curr = d_try, active_try, f_try
         trace.append(f_curr)
         if improvement <= 1e-12 * (1.0 + abs(f_curr)):
             break
@@ -154,10 +168,8 @@ def order_agreement(
     if n < 2:
         raise SegmentTooShort("need at least two frames")
     scores = frames @ weights
-    satisfied = (scores[:, None] - scores[None, :] > 0) & np.tril(
-        np.ones((n, n), dtype=bool), k=-1
-    )
-    return float(satisfied.sum()) / (n * (n - 1) / 2)
+    ia, ib = _pair_indices(n)
+    return float((scores[ia] - scores[ib] > 0).sum()) / (n * (n - 1) / 2)
 
 
 def pool_clip(

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from aufusion import evaluate
 from aufusion.evaluate import (
     ConfigIncomplete,
     FoldRow,
@@ -91,6 +92,14 @@ class TestLoocv:
     def test_parallel_folds_match_sequential(self, small_corpus, small_report):
         parallel = loocv(small_corpus, FAST_PIPELINE, jobs=2)
         assert parallel.rows == small_report.rows
+
+    def test_default_jobs_follow_cpu_affinity(self, small_corpus, small_report, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", no_pool)
+        assert loocv(small_corpus, FAST_PIPELINE).rows == small_report.rows
 
     def test_missing_class_rejected(self):
         clips = synth_corpus(SynthConfig(n_participants=4, frames_per_clip=450, seed=1)).clips

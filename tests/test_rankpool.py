@@ -6,6 +6,7 @@ from aufusion.rankpool import (
     DynamicDescriptor,
     RankPoolConfig,
     SegmentTooShort,
+    _pair_indices,
     order_agreement,
     pool_clip,
     rank_pool,
@@ -35,6 +36,57 @@ def brute_force_agreement(weights, frames):
             if scores[a] > scores[b]:
                 good += 1
     return good / total
+
+
+def reference_solve(frames, config):
+    """The n x n matrix formulation of the solver; the oracle.
+
+    Returns the kernel, the objective trace and the reason the solver
+    stopped, so a test can show which exit a case takes.
+    """
+    v = np.asarray(frames, dtype=np.float64)
+    n = v.shape[0]
+
+    def objective(d, scores):
+        gaps = config.margin - (scores[:, None] - scores[None, :])  # gaps[a, b]
+        lower = np.tril(gaps, k=-1)  # pairs with a > b only
+        return 0.5 * float(d @ d) + config.reg_c * float(lower[lower > 0].sum())
+
+    d = np.zeros(v.shape[1])
+    scores = v @ d
+    f_curr = objective(d, scores)
+    trace = [f_curr]
+    strict_lower = np.tril(np.ones((n, n), dtype=bool), k=-1)
+    for epoch in range(config.max_epochs):
+        active = strict_lower & (scores[:, None] - scores[None, :] < config.margin)
+        coef = active.sum(axis=1) - active.sum(axis=0)
+        grad = d - config.reg_c * (v.T @ coef.astype(np.float64))
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm < 1e-12:
+            return d, trace, "zero gradient"
+        eta = config.step_size / ((1.0 + epoch) * grad_norm)
+        for _ in range(60):
+            d_try = d - eta * grad
+            scores_try = v @ d_try
+            f_try = objective(d_try, scores_try)
+            if f_try <= f_curr:
+                break
+            eta *= 0.5
+        else:
+            return d, trace, "line search failed"
+        improvement = f_curr - f_try
+        d, scores, f_curr = d_try, scores_try, f_try
+        trace.append(f_curr)
+        if improvement <= 1e-12 * (1.0 + abs(f_curr)):
+            return d, trace, "no improvement"
+    return d, trace, "epoch cap"
+
+
+def drifting_frames(n, seed):
+    """A random walk with drift: ordered but noisy, like AU intensities."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(0.0, 0.3, (n, AU_COUNT)) + rng.normal(0.0, 0.1, AU_COUNT)
+    return np.cumsum(steps, axis=0)
 
 
 class TestRankPool:
@@ -168,3 +220,56 @@ class TestDescriptorDump:
     def test_descriptor_requires_finite(self):
         with pytest.raises(ValueError):
             DynamicDescriptor(np.array([np.inf] * AU_COUNT), "x", 0)
+
+
+class TestPairListSolver:
+    """The pair-list solver takes the same steps as the matrix formulation."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 57, 150, 300])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RankPoolConfig(),
+            RankPoolConfig(smooth=False),
+            RankPoolConfig(margin=0.25, reg_c=3.0, step_size=0.5, max_epochs=37),
+            RankPoolConfig(margin=2.0, reg_c=0.05, step_size=4.0, max_epochs=400, smooth=False),
+        ],
+        ids=["default", "unsmoothed", "tight", "loose"],
+    )
+    def test_bit_identical_to_matrix_reference(self, n, config):
+        frames = drifting_frames(n, seed=n)
+        v = smooth_frames(frames) if config.smooth else frames
+        d, trace = solve_rank_kernel(v, config)
+        d_ref, trace_ref, _ = reference_solve(v, config)
+        assert np.array_equal(d, d_ref)
+        assert trace == trace_ref
+        desc = rank_pool(Segment("w", 0, frames), config)
+        assert np.array_equal(desc.d, d_ref)
+
+    def test_zero_gradient_exit(self):
+        frames = np.ones((12, AU_COUNT))
+        d, trace = solve_rank_kernel(frames, CFG)
+        d_ref, trace_ref, reason = reference_solve(frames, CFG)
+        assert reason == "zero gradient"
+        assert np.array_equal(d, d_ref)
+        assert trace == trace_ref == [66.0]  # 66 pairs, each hinge at the full margin
+
+    def test_line_search_failure_exit(self):
+        # After two epochs both consecutive-frame pairs sit exactly at the
+        # margin, on the kink of their hinges: the subgradient counts them as
+        # inactive, and every trial step along it raises the objective.
+        frames = np.zeros((3, AU_COUNT))
+        frames[:, :2] = [[0.5, 1.0], [1.5, 1.0], [2.5, 1.0]]
+        config = RankPoolConfig(margin=0.5, step_size=64.0)
+        d, trace = solve_rank_kernel(frames, config)
+        d_ref, trace_ref, reason = reference_solve(frames, config)
+        assert reason == "line search failed"
+        assert np.array_equal(d, d_ref)
+        assert trace == trace_ref
+
+    def test_pair_indices_shared_and_read_only(self):
+        ia, ib = _pair_indices(150)
+        assert _pair_indices(150)[0] is ia
+        assert len(ia) == 150 * 149 // 2
+        assert (ia > ib).all()
+        assert not ia.flags.writeable and not ib.flags.writeable
