@@ -29,6 +29,7 @@ from .evaluate import (
     _subsample,
     load_sidecar,
     loocv,
+    pool_corpus,
     render_report,
     report_from_sidecar,
     segment_votes,
@@ -44,7 +45,6 @@ from .ingest import (
     parse_au_csv,
     pooled_class_frames,
     read_corpus,
-    standardize_corpus,
     synth_corpus,
     write_corpus,
 )
@@ -169,6 +169,13 @@ def _write_provenance(target: Path, command: str, args: argparse.Namespace):
     path.write_text(json.dumps(payload, indent=1, default=str) + "\n", encoding="utf-8")
 
 
+def _write_output(out: Path, text: str, command: str, args: argparse.Namespace):
+    """Write one command's text output and its provenance next to it."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text, encoding="utf-8")
+    _write_provenance(out, command, args)
+
+
 def _require_file(path: str | None, what: str) -> Path:
     if path is None:
         raise ValidationError(f"{what} is required")
@@ -228,10 +235,8 @@ def cmd_fit_gmm(args) -> int:
 
 def cmd_pool(args) -> int:
     corpus = _load_labelled_corpus(args.corpus)
-    pipeline = _pipeline_from_args(args)
-    descriptors = []
-    for clip in corpus.clips:
-        descriptors.extend(pool_clip(clip, pipeline.window, pipeline.stride, pipeline.rankpool))
+    pooled = pool_corpus(corpus, _pipeline_from_args(args))
+    descriptors = [desc for clip_descs in pooled.values() for desc in clip_descs]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_descriptors(descriptors, out)
@@ -292,17 +297,12 @@ def cmd_score(args) -> int:
     gmm_only = likelihood_ratio_decision(ll_dep, ll_ndep)
     print(f"# gmm-only decision: {gmm_only.value}", file=sys.stderr)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(header + "\n" + line + "\n", encoding="utf-8")
-        _write_provenance(out, "score", args)
+        _write_output(Path(args.out), header + "\n" + line + "\n", "score", args)
     return 0
 
 
 def cmd_loocv(args) -> int:
     corpus = _load_labelled_corpus(args.corpus)
-    if args.standardize:
-        corpus = standardize_corpus(corpus)
     pipeline = _pipeline_from_args(args)
     report = loocv(corpus, pipeline, jobs=args.jobs)
     out = Path(args.out)
@@ -331,10 +331,7 @@ def cmd_sweep(args) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
-        _write_provenance(out, "sweep", args)
+        _write_output(Path(args.out), text, "sweep", args)
     return 0
 
 
@@ -343,7 +340,7 @@ def cmd_report(args) -> int:
     text = render_report(report_from_sidecar(sidecar))
     print(text, end="")
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_output(Path(args.out), text, "report", args)
     return 0
 
 
@@ -411,12 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="parallel folds (default: the CPUs this process may run on)",
-    )
-    p.add_argument(
-        "--standardize",
-        action="store_true",
-        help="z-score AU intensities with corpus-pooled statistics before "
-        "evaluation (pools across folds; raw intensities are the default)",
     )
     _add_pipeline_args(p)
     p.set_defaults(func=cmd_loocv)

@@ -24,16 +24,9 @@ import numpy as np
 
 from . import fusion as fusion_mod
 from .fusion import FusionConfig, FusionResult, fuse
-from .gmm import EmConfig, GmmModel, fit_em, likelihood_ratio_decision, score_pair
-from .ingest import (
-    DEFAULT_STRIDE,
-    DEFAULT_WINDOW,
-    AUClip,
-    Corpus,
-    Label,
-    pooled_class_frames,
-)
-from .mlp import MlpModel, TrainConfig, predict_probs, train_mlp
+from .gmm import EmConfig, GmmModel, fit_em, gmm_json, likelihood_ratio_decision, score_pair
+from .ingest import DEFAULT_STRIDE, DEFAULT_WINDOW, Corpus, Label, pooled_class_frames
+from .mlp import MlpModel, TrainConfig, mlp_json, predict_probs, train_mlp
 from .rankpool import DynamicDescriptor, RankPoolConfig, pool_clip
 
 REPORT_VERSION = 1
@@ -41,7 +34,6 @@ REPORT_VERSION = 1
 SYSTEMS = ("gmm", "rankpool", "combined")
 
 _DISPLAY = {Label.DEPRESSED: "Depressed", Label.NONDEPRESSED: "Non-depressed"}
-_FROM_DISPLAY = {v: k for k, v in _DISPLAY.items()}
 
 
 class InsufficientClass(ValueError):
@@ -104,8 +96,8 @@ class LoocvReport:
     seed: int
 
 
-def accuracy(rows: list[FoldRow], system: str) -> float:
-    """Exact correct/total for one system's decision column."""
+def correct_count(rows: list[FoldRow], system: str) -> int:
+    """Rows whose decision in one system's column matches the label."""
     if not rows:
         raise ValueError("need at least one row")
     attr = {
@@ -115,12 +107,12 @@ def accuracy(rows: list[FoldRow], system: str) -> float:
     }.get(system)
     if attr is None:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-    correct = sum(1 for row in rows if getattr(row, attr) == row.label)
-    return correct / len(rows)
+    return sum(1 for row in rows if getattr(row, attr) == row.label)
 
 
-def correct_count(rows: list[FoldRow], system: str) -> int:
-    return round(accuracy(rows, system) * len(rows))
+def accuracy(rows: list[FoldRow], system: str) -> float:
+    """Exact correct/total for one system's decision column."""
+    return correct_count(rows, system) / len(rows)
 
 
 def fold_seed(root_seed: int, participant_id: str) -> int:
@@ -130,25 +122,13 @@ def fold_seed(root_seed: int, participant_id: str) -> int:
 
 
 def hash_gmm(model: GmmModel) -> str:
-    payload = json.dumps(
-        {
-            "weights": model.weights.tolist(),
-            "means": model.means.tolist(),
-            "variances": model.variances.tolist(),
-        }
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    """Digest of the JSON ``save_gmm`` writes for the model."""
+    return hashlib.sha256(gmm_json(model).encode()).hexdigest()[:16]
 
 
 def hash_mlp(model: MlpModel) -> str:
-    payload = json.dumps(
-        {
-            "params": {k: v.tolist() for k, v in model.params().items()},
-            "mean": model.input_mean.tolist(),
-            "std": model.input_std.tolist(),
-        }
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    """Digest of the JSON ``save_mlp`` writes for the model."""
+    return hashlib.sha256(mlp_json(model).encode()).hexdigest()[:16]
 
 
 def _subsample(frames: np.ndarray, cap: int | None) -> np.ndarray:
@@ -165,6 +145,8 @@ def majority_vote(votes) -> Label:
 
 
 def segment_votes(model: MlpModel, descriptors: list[DynamicDescriptor]) -> list[int]:
+    """One vote per segment: 1 only when the depression probability strictly
+    exceeds 0.5."""
     probs = predict_probs(model, np.array([desc.d for desc in descriptors]))
     return [int(p > 0.5) for p in probs]
 
@@ -212,10 +194,7 @@ def run_fold(
 ) -> FoldRow:
     """Train on all other clips and score the held-out one."""
     if descriptors is None:
-        descriptors = {
-            c.participant_id: pool_clip(c, pipeline.window, pipeline.stride, pipeline.rankpool)
-            for c in corpus.clips
-        }
+        descriptors = pool_corpus(corpus, pipeline)
     dep_model, ndep_model, mlp_model = train_fold_models(
         corpus, held_out_id, pipeline, descriptors
     )
@@ -245,31 +224,42 @@ def run_fold(
     )
 
 
-# Worker-process state for parallel pooling and folds. Populated once per
+# Worker-process state: the task and its shared arguments, set once per
 # worker through the executor initializer; read-only afterwards.
 _WORKER: dict = {}
 
 
-def _init_worker(corpus, pipeline, descriptors):
-    _WORKER["corpus"] = corpus
-    _WORKER["pipeline"] = pipeline
-    _WORKER["descriptors"] = descriptors
+def _init_worker(task, shared):
+    _WORKER["task"] = task
+    _WORKER["shared"] = shared
 
 
-def _pool_task(participant_id: str):
-    corpus: Corpus = _WORKER["corpus"]
-    pipeline: PipelineConfig = _WORKER["pipeline"]
+def _worker_call(participant_id: str):
+    return _WORKER["task"](participant_id, *_WORKER["shared"])
+
+
+def _map_participants(task, ids: list[str], shared: tuple, jobs: int) -> list:
+    """``[task(pid, *shared) for pid in ids]``, inline when ``jobs <= 1``,
+    else in ``jobs`` worker processes that receive ``shared`` once."""
+    if jobs <= 1:
+        return [task(pid, *shared) for pid in ids]
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(task, shared)
+    ) as pool:
+        return list(pool.map(_worker_call, ids))
+
+
+def _pool_task(participant_id: str, corpus: Corpus, pipeline: PipelineConfig):
     clip = corpus.by_id(participant_id)
-    return participant_id, pool_clip(clip, pipeline.window, pipeline.stride, pipeline.rankpool)
+    return pool_clip(clip, pipeline.window, pipeline.stride, pipeline.rankpool)
 
 
-def _fold_task(participant_id: str) -> FoldRow:
-    return _named_fold(
-        _WORKER["corpus"], participant_id, _WORKER["pipeline"], _WORKER["descriptors"]
-    )
-
-
-def _named_fold(corpus, participant_id, pipeline, descriptors) -> FoldRow:
+def _fold_task(
+    participant_id: str,
+    corpus: Corpus,
+    pipeline: PipelineConfig,
+    descriptors: dict[str, list[DynamicDescriptor]],
+) -> FoldRow:
     try:
         return run_fold(corpus, participant_id, pipeline, descriptors)
     except Exception as exc:
@@ -281,17 +271,7 @@ def pool_corpus(
 ) -> dict[str, list[DynamicDescriptor]]:
     """Descriptors for every clip, keyed by participant id."""
     ids = [c.participant_id for c in corpus.clips]
-    if jobs <= 1:
-        return dict(_pool_task_inline(corpus, pipeline, pid) for pid in ids)
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(corpus, pipeline, None)
-    ) as pool:
-        return dict(pool.map(_pool_task, ids))
-
-
-def _pool_task_inline(corpus, pipeline, participant_id):
-    clip = corpus.by_id(participant_id)
-    return participant_id, pool_clip(clip, pipeline.window, pipeline.stride, pipeline.rankpool)
+    return dict(zip(ids, _map_participants(_pool_task, ids, (corpus, pipeline), jobs)))
 
 
 def loocv(corpus: Corpus, pipeline: PipelineConfig, jobs: int | None = None) -> LoocvReport:
@@ -309,15 +289,7 @@ def loocv(corpus: Corpus, pipeline: PipelineConfig, jobs: int | None = None) -> 
 
     ids = [c.participant_id for c in corpus.clips]
     descriptors = pool_corpus(corpus, pipeline, jobs=jobs)
-    if jobs <= 1:
-        rows = [_named_fold(corpus, pid, pipeline, descriptors) for pid in ids]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(corpus, pipeline, descriptors),
-        ) as pool:
-            rows = list(pool.map(_fold_task, ids))
+    rows = _map_participants(_fold_task, ids, (corpus, pipeline, descriptors), jobs)
     return LoocvReport(rows=rows, configs=pipeline.to_dict(), seed=pipeline.seed)
 
 
@@ -365,30 +337,6 @@ def render_report(report: LoocvReport) -> str:
     lines.append("")
     lines.append("# external baseline systems are not part of this artifact")
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str) -> list[dict]:
-    """Recover the per-participant decisions from a rendered report."""
-    lines = text.splitlines()
-    try:
-        start = lines.index("participant_id\tlabel\tgmm\trank_pooling\tcombined") + 1
-    except ValueError:
-        raise ValueError("not a rendered leave-one-out report") from None
-    rows = []
-    for line in lines[start:]:
-        if not line.strip():
-            break
-        pid, label, gmm_d, rp_d, comb_d = line.split("\t")
-        rows.append(
-            {
-                "participant_id": pid,
-                "label": _FROM_DISPLAY[label],
-                "gmm_decision": _FROM_DISPLAY[gmm_d],
-                "rankpool_decision": _FROM_DISPLAY[rp_d],
-                "combined_decision": _FROM_DISPLAY[comb_d],
-            }
-        )
-    return rows
 
 
 def report_to_sidecar(report: LoocvReport) -> dict:

@@ -10,6 +10,10 @@ vote sum so an evenly split vote contributes nothing, and the likelihood gap
 is divided by the clip's frame count so both terms stay on comparable scales
 across clip lengths. Setting ``normalize_ll=False`` and an explicit ``tau``
 recovers the raw score.
+
+The rule needs only the vote count, so it runs on ``(gap, n_dep, N)``:
+``fuse`` counts a clip's vote list, and ``refuse_record`` hands a cached
+record's counts to the same rule without rebuilding the votes.
 """
 
 from __future__ import annotations
@@ -63,19 +67,30 @@ def fuse(
     (score equal to the threshold) resolve non-depressed, matching the
     likelihood-ratio tie rule.
     """
-    if len(votes) == 0:
-        raise EmptyVotes("need at least one segment vote")
     if any(v not in (0, 1) for v in votes):
         raise ValueError("votes must be binary")
+    return _fuse_counts(ll_dep, ll_ndep, int(sum(votes)), len(votes), config, n_frames)
+
+
+def _fuse_counts(
+    ll_dep: float,
+    ll_ndep: float,
+    n_dep: int,
+    n_segments: int,
+    config: FusionConfig,
+    n_frames: int | None,
+) -> FusionResult:
+    """The fusion rule on a clip's vote count; ``FusionResult`` rejects a
+    count outside ``[0, n_segments]``."""
+    if n_segments < 1:
+        raise EmptyVotes("need at least one segment vote")
     gap = ll_dep - ll_ndep
     if config.normalize_ll:
         if n_frames is None or n_frames < 1:
             raise ValueError("normalize_ll requires the clip frame count")
         gap /= n_frames
-    n = len(votes)
-    n_dep = int(sum(votes))
     score = gap + config.omega * n_dep
-    tau = config.omega * n / 2.0 if config.tau is None else config.tau
+    tau = config.omega * n_segments / 2.0 if config.tau is None else config.tau
     decision = Label.DEPRESSED if score > tau else Label.NONDEPRESSED
     return FusionResult(
         score=score,
@@ -83,7 +98,7 @@ def fuse(
         tau=tau,
         ll_dep=ll_dep,
         ll_ndep=ll_ndep,
-        n_segments=n,
+        n_segments=n_segments,
         n_dep_votes=n_dep,
     )
 
@@ -95,13 +110,11 @@ RECORD_KEYS = ("label", "ll_dep", "ll_ndep", "n_segments", "n_dep_votes", "n_fra
 def refuse_record(record: Mapping, omega: float, base: FusionConfig) -> FusionResult:
     """Re-run fusion on one cached record at a different vote weight."""
     config = FusionConfig(omega=omega, tau=base.tau, normalize_ll=base.normalize_ll)
-    votes = [1] * int(record["n_dep_votes"]) + [0] * (
-        int(record["n_segments"]) - int(record["n_dep_votes"])
-    )
-    return fuse(
+    return _fuse_counts(
         float(record["ll_dep"]),
         float(record["ll_ndep"]),
-        votes,
+        int(record["n_dep_votes"]),
+        int(record["n_segments"]),
         config,
         n_frames=int(record["n_frames"]),
     )

@@ -257,8 +257,8 @@ def likelihood_ratio_decision(ll_dep: float, ll_ndep: float) -> Label:
     return Label.DEPRESSED if ll_dep > ll_ndep else Label.NONDEPRESSED
 
 
-def save_gmm(model: GmmModel, path: str | Path, config: EmConfig | None = None):
-    """Write the model as JSON; floats keep shortest round-trip precision so
+def gmm_json(model: GmmModel, config: EmConfig | None = None) -> str:
+    """The model's saved form; floats keep shortest round-trip precision so
     reloading is bit-stable."""
     payload = {
         "format_version": FORMAT_VERSION,
@@ -268,7 +268,11 @@ def save_gmm(model: GmmModel, path: str | Path, config: EmConfig | None = None):
         "variances": model.variances.tolist(),
         "em_config": asdict(config) if config is not None else None,
     }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def save_gmm(model: GmmModel, path: str | Path, config: EmConfig | None = None):
+    Path(path).write_text(gmm_json(model, config), encoding="utf-8")
 
 
 def load_gmm(path: str | Path) -> tuple[GmmModel, EmConfig | None]:

@@ -334,25 +334,6 @@ def read_corpus(directory: str | Path) -> Corpus:
     return Corpus(clips)
 
 
-def standardize_corpus(corpus: Corpus) -> Corpus:
-    """Z-score every AU dimension with corpus-pooled statistics.
-
-    Off by default everywhere; intensities are normally used raw. The
-    statistics pool all clips, so applying this before leave-one-out
-    evaluation trades strict fold isolation for scale invariance.
-    """
-    stacked = np.vstack([c.frames for c in corpus.clips])
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return Corpus(
-        [
-            AUClip(c.participant_id, (c.frames - mean) / std, c.label)
-            for c in corpus.clips
-        ]
-    )
-
-
 def pooled_class_frames(clips: Sequence[AUClip]) -> dict[Label, np.ndarray]:
     """Stack all frames of all clips per class into one matrix per class."""
     groups: dict[Label, list[np.ndarray]] = {}

@@ -199,14 +199,8 @@ def predict_probs(model: MlpModel, descriptors) -> np.ndarray:
     return np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
 
 
-def predict_segment(model: MlpModel, descriptor) -> tuple[float, int]:
-    """Probability and binary vote for one descriptor; dropout is off and the
-    vote is 1 only when the probability strictly exceeds 0.5."""
-    prob = float(predict_probs(model, descriptor)[0])
-    return prob, int(prob > 0.5)
-
-
-def save_mlp(model: MlpModel, path: str | Path, config: TrainConfig | None = None):
+def mlp_json(model: MlpModel, config: TrainConfig | None = None) -> str:
+    """The model's saved form."""
     payload = {
         "format_version": FORMAT_VERSION,
         "shapes": {k: list(v.shape) for k, v in model.params().items()},
@@ -215,7 +209,11 @@ def save_mlp(model: MlpModel, path: str | Path, config: TrainConfig | None = Non
         "input_std": model.input_std.tolist(),
         "train_config": asdict(config) if config is not None else None,
     }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def save_mlp(model: MlpModel, path: str | Path, config: TrainConfig | None = None):
+    Path(path).write_text(mlp_json(model, config), encoding="utf-8")
 
 
 def load_mlp(path: str | Path) -> tuple[MlpModel, TrainConfig | None]:

@@ -94,16 +94,6 @@ class TestLoocvCommand:
         assert code == 2
         assert not out.exists()
 
-    def test_standardize_flag_accepted(self, tmp_path):
-        corpus = synth(tmp_path, "cs", seed=8)
-        out = tmp_path / "runs"
-        code = main(
-            ["loocv", "--corpus", str(corpus), "--out", str(out), "--jobs", "1",
-             "--standardize", *FAST_FLAGS]
-        )
-        assert code == 0
-        assert json.loads((out / "report.json").read_text())["rows"]
-
     def test_omega_zero_combined_equals_gmm_column(self, tmp_path):
         corpus = synth(tmp_path, "c0", seed=5)
         out = tmp_path / "run0"
@@ -143,6 +133,20 @@ class TestSweepCommand:
         code = main(["sweep", "--report", str(run_dir / "report.json"), "--omegas", ","])
         assert code == 2
 
+    def test_negative_omega_is_usage_error(self, run_dir):
+        code = main(["sweep", "--report", str(run_dir / "report.json"), "--omegas", "1,-0.5"])
+        assert code == 2
+
+    def test_out_of_range_vote_count_is_usage_error(self, run_dir, tmp_path, capsys):
+        payload = json.loads((run_dir / "report.json").read_text())
+        row = payload["rows"][0]
+        row["n_dep_votes"] = row["n_segments"] + 1
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(payload))
+        code = main(["sweep", "--report", str(bad), "--omegas", "0,1"])
+        assert code == 2
+        assert "vote count out of range" in capsys.readouterr().err
+
 
 class TestModelCommands:
     def test_artifacts_written(self, workspace):
@@ -181,6 +185,14 @@ class TestReportCommand:
         assert code == 0
         rendered = capsys.readouterr().out
         assert rendered == (out / "report.txt").read_text()
+
+    def test_out_creates_directories_and_provenance(self, run_dir, tmp_path):
+        target = tmp_path / "new" / "dir" / "report.txt"
+        code = main(["report", "--report", str(run_dir / "report.json"), "--out", str(target)])
+        assert code == 0
+        assert target.read_text() == (run_dir / "report.txt").read_text()
+        provenance = json.loads(target.with_name("report.txt.provenance.json").read_text())
+        assert provenance["command"] == "report"
 
 
 class TestConfigFile:

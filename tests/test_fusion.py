@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from aufusion.fusion import (
@@ -162,3 +164,66 @@ class TestSweepOmega:
         del records[0]["n_frames"]
         with pytest.raises(ValueError):
             sweep_omega(records, [1.0])
+
+    def test_negative_omega_rejected(self):
+        with pytest.raises(ValueError):
+            sweep_omega(_records(), [1.0, -0.5])
+
+    @pytest.mark.parametrize(
+        "n_dep, n_segments", [(10, 9), (-1, 9), (1, 0)], ids=["above", "negative", "empty"]
+    )
+    def test_out_of_range_vote_counts_rejected(self, n_dep, n_segments):
+        records = _records()
+        records[3] = dict(records[3], n_dep_votes=n_dep, n_segments=n_segments)
+        with pytest.raises(ValueError):
+            refuse_record(records[3], 1.0, FusionConfig())
+        with pytest.raises(ValueError):
+            sweep_omega(records, [1.0])
+
+
+def reference_sweep(records, omegas, base):
+    """Vote-list re-fusion: rebuild each record's votes and fuse them."""
+    table = []
+    for omega in omegas:
+        config = FusionConfig(omega=omega, tau=base.tau, normalize_ll=base.normalize_ll)
+        correct = 0
+        for record in records:
+            n_dep, n = int(record["n_dep_votes"]), int(record["n_segments"])
+            votes = [1] * n_dep + [0] * (n - n_dep)
+            result = fuse(
+                float(record["ll_dep"]),
+                float(record["ll_ndep"]),
+                votes,
+                config,
+                n_frames=int(record["n_frames"]),
+            )
+            correct += result.decision is Label(record["label"])
+        table.append((float(omega), correct / len(records)))
+    return table
+
+
+class TestCountFusionMatchesVoteLists:
+    @pytest.mark.parametrize("normalize_ll", [True, False])
+    @pytest.mark.parametrize("tau", [None, 0.0, 2.5, -1.5])
+    def test_random_records_give_identical_tables(self, normalize_ll, tau):
+        rng = random.Random(f"{normalize_ll}-{tau}")
+        base = FusionConfig(tau=tau, normalize_ll=normalize_ll)
+        for _ in range(20):
+            records = []
+            for _ in range(rng.randint(1, 15)):
+                n = rng.randint(1, 25)
+                ll_dep = rng.uniform(-4e4, 0.0)
+                # Equal likelihoods make the default threshold tie on split votes.
+                ll_ndep = ll_dep if rng.random() < 0.2 else rng.uniform(-4e4, 0.0)
+                records.append(
+                    {
+                        "label": rng.choice(list(Label)).value,
+                        "ll_dep": ll_dep,
+                        "ll_ndep": ll_ndep,
+                        "n_segments": n,
+                        "n_dep_votes": rng.randint(0, n),
+                        "n_frames": rng.randint(1, 9000),
+                    }
+                )
+            omegas = [0.0, 1e6] + [rng.uniform(0.0, 30.0) for _ in range(30)]
+            assert sweep_omega(records, omegas, base) == reference_sweep(records, omegas, base)

@@ -188,18 +188,6 @@ class TestSynthCorpus:
             SynthConfig(n_participants=4, frames_per_clip=250)
 
 
-class TestStandardize:
-    def test_pooled_statistics_become_zero_mean_unit_std(self):
-        from aufusion.ingest import standardize_corpus
-
-        corpus = synth_corpus(SynthConfig(n_participants=4, frames_per_clip=450, seed=21))
-        scaled = standardize_corpus(corpus)
-        stacked = np.vstack([c.frames for c in scaled.clips])
-        np.testing.assert_allclose(stacked.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(stacked.std(axis=0), 1.0, atol=1e-12)
-        assert [c.label for c in scaled.clips] == [c.label for c in corpus.clips]
-
-
 class TestCorpusRoundTrip:
     def test_write_read_identical(self, tmp_path):
         corpus = synth_corpus(SynthConfig(n_participants=4, frames_per_clip=450, seed=9))

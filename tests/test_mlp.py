@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from aufusion.evaluate import segment_votes
 from aufusion.ingest import AU_COUNT
 from aufusion.mlp import (
     MlpModel,
@@ -11,10 +12,10 @@ from aufusion.mlp import (
     load_mlp,
     loss_and_gradients,
     predict_probs,
-    predict_segment,
     save_mlp,
     train_mlp,
 )
+from aufusion.rankpool import DynamicDescriptor
 
 
 def two_clusters(n_per=40, gap=2.0, seed=1):
@@ -24,6 +25,10 @@ def two_clusters(n_per=40, gap=2.0, seed=1):
     x = np.vstack([a, b])
     y = np.array([0] * n_per + [1] * n_per)
     return x, y
+
+
+def as_descriptors(*vectors):
+    return [DynamicDescriptor(v, "P001", 0) for v in vectors]
 
 
 def zero_model(dim=AU_COUNT, h1=4, h2=3, bias=0.0):
@@ -50,7 +55,7 @@ class TestTraining:
         x = np.ones((40, AU_COUNT))
         y = np.array([1] * 12 + [0] * 28)
         model = train_mlp(x, y, TrainConfig(epochs=600, dropout=0.0, seed=5))
-        prob, _ = predict_segment(model, x[0])
+        [prob] = predict_probs(model, x[0])
         assert prob == pytest.approx(12 / 40, abs=0.02)
 
     def test_single_class_rejected(self):
@@ -149,24 +154,26 @@ class TestGradients:
 
 class TestInference:
     def test_zero_weights_give_half_and_vote_zero(self):
-        prob, vote = predict_segment(zero_model(), np.zeros(AU_COUNT))
+        [prob] = predict_probs(zero_model(), np.zeros(AU_COUNT))
         assert prob == 0.5
-        assert vote == 0  # strict-inequality rule
+        votes = segment_votes(zero_model(), as_descriptors(np.zeros(AU_COUNT)))
+        assert votes == [0]  # strict-inequality rule
 
     def test_bias_shifts_probability(self):
-        prob, vote = predict_segment(zero_model(bias=2.0), np.zeros(AU_COUNT))
+        [prob] = predict_probs(zero_model(bias=2.0), np.zeros(AU_COUNT))
         assert prob == pytest.approx(1.0 / (1.0 + np.exp(-2.0)))
-        assert vote == 1
+        votes = segment_votes(zero_model(bias=2.0), as_descriptors(np.zeros(AU_COUNT)))
+        assert votes == [1]
 
     def test_repeated_calls_identical(self):
         x, y = two_clusters(seed=37)
         model = train_mlp(x, y, TrainConfig(epochs=10, seed=41))
-        probs = [predict_segment(model, x[3])[0] for _ in range(5)]
+        probs = [predict_probs(model, x[3])[0] for _ in range(5)]
         assert len(set(probs)) == 1
 
     def test_probability_strictly_inside_unit_interval(self):
         model = zero_model(bias=80.0)  # sigmoid saturates without a clamp
-        prob, _ = predict_segment(model, np.zeros(AU_COUNT))
+        [prob] = predict_probs(model, np.zeros(AU_COUNT))
         assert 0.0 < prob < 1.0
 
     def test_held_out_accuracy_on_separable_clusters(self):
