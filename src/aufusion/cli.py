@@ -16,17 +16,16 @@ validation error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+import typing
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .evaluate import (
     PipelineConfig,
-    _subsample,
+    fit_class_gmms,
     load_sidecar,
     loocv,
     pool_corpus,
@@ -34,122 +33,117 @@ from .evaluate import (
     report_from_sidecar,
     segment_votes,
     sweep_from_sidecar,
+    training_set,
     write_report_files,
 )
-from .fusion import FusionConfig, fuse
-from .gmm import EmConfig, fit_em, likelihood_ratio_decision, load_gmm, save_gmm, score_pair
+from .fusion import fuse
+from .gmm import likelihood_ratio_decision, load_gmm, save_gmm, score_pair
 from .ingest import (
     Corpus,
     Label,
     SynthConfig,
     parse_au_csv,
-    pooled_class_frames,
     read_corpus,
     synth_corpus,
     write_corpus,
 )
-from .mlp import TrainConfig, load_mlp, save_mlp, train_mlp
-from .rankpool import RankPoolConfig, pool_clip, read_descriptors, write_descriptors
+from .mlp import load_mlp, save_mlp, train_mlp
+from .rankpool import pool_clip, read_descriptors, write_descriptors
 
 
 class ValidationError(ValueError):
     """Bad arguments or missing inputs; maps to exit code 2."""
 
 
-def _add_config_flag(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--config",
-        default=None,
-        metavar="FILE",
-        help="JSON file with flag defaults (explicit flags win)",
-    )
+# One row per flag that sets a config field: (flag, section, field, help).
+# ``section`` names the part of PipelineConfig that holds the field ("" for
+# PipelineConfig itself). The flag's default and type come from the field; a
+# boolean field's flag switches it off. Row order is the order of the flags
+# in usage lines and provenance files.
+_PIPELINE_FLAGS = (
+    ("--window", "", "window", "segment length in frames"),
+    ("--stride", "", "stride", "segment start spacing"),
+    ("--components", "em", "n_components", "mixture components per class"),
+    ("--em-iters", "em", "max_iters", "max EM iterations"),
+    ("--em-tol", "em", "tol", "relative improvement stop"),
+    ("--variance-floor", "em", "variance_floor", "lower bound on every component variance"),
+    ("--n-init", "em", "n_init", "EM restarts"),
+    ("--gmm-fit-frames", "", "gmm_fit_frames", "cap on pooled frames per class for EM"),
+    ("--margin", "rankpool", "margin", "required rank score gap"),
+    ("--reg-c", "rankpool", "reg_c", "hinge trade-off"),
+    ("--rank-epochs", "rankpool", "max_epochs", "max ranking-kernel solver epochs"),
+    ("--step-size", "rankpool", "step_size", "initial solver step size"),
+    ("--no-smooth", "rankpool", "smooth", "disable running-mean smoothing"),
+    ("--hidden1", "mlp", "hidden1", "first hidden layer width"),
+    ("--hidden2", "mlp", "hidden2", "second hidden layer width"),
+    ("--dropout", "mlp", "dropout", "dropout rate after each hidden layer"),
+    ("--learning-rate", "mlp", "learning_rate", "SGD step size"),
+    ("--mlp-epochs", "mlp", "epochs", "training epochs"),
+    ("--batch-size", "mlp", "batch_size", "SGD mini-batch size"),
+    ("--omega", "fusion", "omega", "vote weight"),
+    ("--tau", "fusion", "tau", "decision threshold (None: omega*N/2)"),
+    ("--raw-ll", "fusion", "normalize_ll", "use the raw likelihood gap, not its frame mean"),
+    ("--seed", "", "seed", "root seed for all randomness"),
+)
+
+_SECTION_TITLES = {
+    "": "pipeline (17 AU intensity columns per frame)",
+    "em": "mixture fitting",
+    "rankpool": "rank pooling",
+    "mlp": "segment classifier",
+    "fusion": "fusion",
+}
+
+# The same rows for SynthConfig, which has no sections.
+_SYNTH_FLAGS = (
+    ("--n", "", "n_participants", "participants (even)"),
+    ("--frames", "", "frames_per_clip", "frames per clip"),
+    ("--separation", "", "class_separation", "class separation"),
+    ("--noise", "", "noise_std", "per-frame noise std"),
+    ("--seed", "", "seed", "root seed"),
+)
+
+
+def _add_flags(groups, rows, config):
+    """One flag per row; ``groups`` maps each section to its argument group
+    and ``config`` supplies the defaults."""
+    for flag, section, field, help_text in rows:
+        owner = getattr(config, section) if section else config
+        default = getattr(owner, field)
+        if isinstance(default, bool):
+            groups[section].add_argument(flag, action="store_true", help=help_text)
+            continue
+        hint = typing.get_type_hints(type(owner))[field]
+        kind = (typing.get_args(hint) or (hint,))[0]  # int | None -> int
+        groups[section].add_argument(flag, type=kind, default=default, help=help_text)
+
+
+def _values_from_args(args, rows) -> dict[str, dict]:
+    """Field values per section from the parsed flags the parser has."""
+    values: dict[str, dict] = {}
+    for flag, section, field, _ in rows:
+        dest = flag[2:].replace("-", "_")
+        if hasattr(args, dest):
+            value = getattr(args, dest)
+            values.setdefault(section, {})[field] = not value if isinstance(value, bool) else value
+    return values
 
 
 def _add_pipeline_args(parser: argparse.ArgumentParser, fusion_args: bool = True):
-    group = parser.add_argument_group("windowing (17 AU intensity columns per frame)")
-    group.add_argument("--window", type=int, default=150, help="segment length in frames")
-    group.add_argument("--stride", type=int, default=150, help="segment start spacing")
-
-    group = parser.add_argument_group("mixture fitting")
-    group.add_argument("--components", type=int, default=32, help="mixture components per class")
-    group.add_argument("--em-iters", type=int, default=200, help="max EM iterations")
-    group.add_argument("--em-tol", type=float, default=1e-4, help="relative improvement stop")
-    group.add_argument("--variance-floor", type=float, default=1e-4)
-    group.add_argument("--n-init", type=int, default=3, help="EM restarts")
-    group.add_argument(
-        "--gmm-fit-frames",
-        type=int,
-        default=None,
-        help="cap pooled frames per class for EM (even-stride subsample)",
-    )
-
-    group = parser.add_argument_group("rank pooling")
-    group.add_argument("--margin", type=float, default=1.0, help="required rank score gap")
-    group.add_argument("--reg-c", type=float, default=1.0, help="hinge trade-off")
-    group.add_argument("--rank-epochs", type=int, default=200)
-    group.add_argument("--step-size", type=float, default=1.0)
-    group.add_argument("--no-smooth", action="store_true", help="disable running-mean smoothing")
-
-    group = parser.add_argument_group("segment classifier")
-    group.add_argument("--hidden1", type=int, default=32)
-    group.add_argument("--hidden2", type=int, default=16)
-    group.add_argument("--dropout", type=float, default=0.5)
-    group.add_argument("--learning-rate", type=float, default=0.01)
-    group.add_argument("--mlp-epochs", type=int, default=300)
-    group.add_argument("--batch-size", type=int, default=16)
-
-    if fusion_args:
-        group = parser.add_argument_group("fusion")
-        group.add_argument("--omega", type=float, default=1.0, help="vote weight")
-        group.add_argument(
-            "--tau", type=float, default=None, help="decision threshold (default omega*N/2)"
-        )
-        group.add_argument(
-            "--raw-ll",
-            action="store_true",
-            help="use the raw likelihood gap instead of the per-frame average",
-        )
-
-    parser.add_argument("--seed", type=int, default=7, help="root seed for all randomness")
+    sections = [s for s in _SECTION_TITLES if fusion_args or s != "fusion"]
+    groups = {s: parser.add_argument_group(_SECTION_TITLES[s]) for s in sections}
+    rows = [row for row in _PIPELINE_FLAGS if row[1] in groups]
+    _add_flags(groups, rows, PipelineConfig())
 
 
 def _pipeline_from_args(args) -> PipelineConfig:
-    fusion = FusionConfig(
-        omega=getattr(args, "omega", 1.0),
-        tau=getattr(args, "tau", None),
-        normalize_ll=not getattr(args, "raw_ll", False),
-    )
-    return PipelineConfig(
-        window=args.window,
-        stride=args.stride,
-        em=EmConfig(
-            n_components=args.components,
-            max_iters=args.em_iters,
-            tol=args.em_tol,
-            variance_floor=args.variance_floor,
-            seed=args.seed,
-            n_init=args.n_init,
-        ),
-        rankpool=RankPoolConfig(
-            margin=args.margin,
-            reg_c=args.reg_c,
-            max_epochs=args.rank_epochs,
-            step_size=args.step_size,
-            smooth=not args.no_smooth,
-        ),
-        mlp=TrainConfig(
-            hidden1=args.hidden1,
-            hidden2=args.hidden2,
-            dropout=args.dropout,
-            learning_rate=args.learning_rate,
-            epochs=args.mlp_epochs,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        ),
-        fusion=fusion,
-        seed=args.seed,
-        gmm_fit_frames=args.gmm_fit_frames,
-    )
+    values = _values_from_args(args, _PIPELINE_FLAGS)
+    # The root seed also seeds every model; folds derive their own from it.
+    for section in ("em", "mlp"):
+        values[section]["seed"] = args.seed
+    base = PipelineConfig()
+    parts = {s: replace(getattr(base, s), **v) for s, v in values.items() if s}
+    return replace(base, **values[""], **parts)
 
 
 def _write_provenance(target: Path, command: str, args: argparse.Namespace):
@@ -185,28 +179,17 @@ def _require_file(path: str | None, what: str) -> Path:
     return p
 
 
-def _require_corpus_dir(path: str | None) -> Path:
+def _load_corpus(path: str | None) -> Corpus:
     if path is None:
         raise ValidationError("corpus directory is required")
     p = Path(path)
     if not (p / "manifest.jsonl").is_file():
         raise ValidationError(f"corpus path missing manifest.jsonl: {p}")
-    return p
-
-
-def _load_labelled_corpus(path: str | None) -> Corpus:
-    return read_corpus(_require_corpus_dir(path))
+    return read_corpus(p)
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(
-        n_participants=args.n,
-        frames_per_clip=args.frames,
-        class_separation=args.separation,
-        noise_std=args.noise,
-        seed=args.seed,
-    )
-    corpus = synth_corpus(config)
+    corpus = synth_corpus(SynthConfig(**_values_from_args(args, _SYNTH_FLAGS)[""]))
     out = Path(args.out)
     write_corpus(corpus, out)
     _write_provenance(out, "synth", args)
@@ -215,18 +198,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit_gmm(args) -> int:
-    corpus = _load_labelled_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     corpus.require_labels()
     pipeline = _pipeline_from_args(args)
-    pooled = pooled_class_frames(corpus.clips)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for label, name, seed_offset in (
-        (Label.DEPRESSED, "gmm-depressed.json", 0),
-        (Label.NONDEPRESSED, "gmm-nondepressed.json", 1),
+    fitted = fit_class_gmms(corpus.clips, pipeline, pipeline.seed)
+    for (label, name), (model, config) in zip(
+        ((Label.DEPRESSED, "gmm-depressed.json"), (Label.NONDEPRESSED, "gmm-nondepressed.json")),
+        fitted,
     ):
-        config = dataclasses.replace(pipeline.em, seed=pipeline.seed + seed_offset)
-        model = fit_em(_subsample(pooled[label], pipeline.gmm_fit_frames), config)
         save_gmm(model, out / name, config)
         print(f"fitted {label.value}: {model.n} components -> {out / name}")
     _write_provenance(out, "fit-gmm", args)
@@ -234,7 +215,7 @@ def cmd_fit_gmm(args) -> int:
 
 
 def cmd_pool(args) -> int:
-    corpus = _load_labelled_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     pooled = pool_corpus(corpus, _pipeline_from_args(args))
     descriptors = [desc for clip_descs in pooled.values() for desc in clip_descs]
     out = Path(args.out)
@@ -246,19 +227,17 @@ def cmd_pool(args) -> int:
 
 
 def cmd_train_mlp(args) -> int:
-    corpus = _load_labelled_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     corpus.require_labels()
-    descriptors = read_descriptors(_require_file(args.descriptors, "descriptor file"))
+    by_source: dict[str, list] = {}
+    for desc in read_descriptors(_require_file(args.descriptors, "descriptor file")):
+        by_source.setdefault(desc.source_id, []).append(desc)
+    unknown = sorted(set(by_source) - {c.participant_id for c in corpus.clips})
+    if unknown:
+        raise ValidationError(f"descriptor sources {unknown} not in corpus")
     pipeline = _pipeline_from_args(args)
-    labels_by_id = {c.participant_id: c.label for c in corpus.clips}
-    xs, ys = [], []
-    for desc in descriptors:
-        label = labels_by_id.get(desc.source_id)
-        if label is None:
-            raise ValidationError(f"descriptor source {desc.source_id!r} not in corpus")
-        xs.append(desc.d)
-        ys.append(1 if label is Label.DEPRESSED else 0)
-    model = train_mlp(np.array(xs), np.array(ys), pipeline.mlp)
+    xs, ys = training_set([c for c in corpus.clips if c.participant_id in by_source], by_source)
+    model = train_mlp(xs, ys, pipeline.mlp)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_mlp(model, out, pipeline.mlp)
@@ -302,7 +281,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_loocv(args) -> int:
-    corpus = _load_labelled_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     pipeline = _pipeline_from_args(args)
     report = loocv(corpus, pipeline, jobs=args.jobs)
     out = Path(args.out)
@@ -345,93 +324,68 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="aufusion",
-        description=__doc__,
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    fmt = argparse.ArgumentDefaultsHelpFormatter
+    parser = argparse.ArgumentParser(prog="aufusion", description=__doc__, formatter_class=fmt)
     parser.add_argument("--version", action="version", version=f"aufusion {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="FILE", help="JSON file of flag values; flags win")
 
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    def command(name, help_text, func):
+        p = sub.add_parser(name, help=help_text, parents=[common], formatter_class=fmt)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate a balanced synthetic corpus", formatter_class=fmt)
-    _add_config_flag(p)
+    p = command("synth", "generate a balanced synthetic corpus", cmd_synth)
     p.add_argument("--out", required=True, help="output corpus directory")
-    p.add_argument("--n", type=int, default=30, help="participants (even)")
-    p.add_argument("--frames", type=int, default=9000, help="frames per clip")
-    p.add_argument("--separation", type=float, default=2.0, help="class separation")
-    p.add_argument("--noise", type=float, default=0.3, help="per-frame noise std")
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_synth)
+    _add_flags({"": p}, _SYNTH_FLAGS, SynthConfig())
 
-    p = sub.add_parser("fit-gmm", help="fit both class mixtures on a corpus", formatter_class=fmt)
-    _add_config_flag(p)
+    p = command("fit-gmm", "fit both class mixtures on a corpus", cmd_fit_gmm)
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="output model directory")
     _add_pipeline_args(p, fusion_args=False)
-    p.set_defaults(func=cmd_fit_gmm)
 
-    p = sub.add_parser("pool", help="rank-pool every clip into descriptors", formatter_class=fmt)
-    _add_config_flag(p)
-    p.add_argument("--corpus", required=True)
+    p = command("pool", "rank-pool every clip into descriptors", cmd_pool)
+    p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="descriptor TSV path")
     _add_pipeline_args(p, fusion_args=False)
-    p.set_defaults(func=cmd_pool)
 
-    p = sub.add_parser(
-        "train-mlp", help="train the segment vote classifier", formatter_class=fmt
-    )
-    _add_config_flag(p)
+    p = command("train-mlp", "train the segment vote classifier", cmd_train_mlp)
     p.add_argument("--corpus", required=True, help="corpus directory (labels)")
     p.add_argument("--descriptors", required=True, help="descriptor TSV from pool")
     p.add_argument("--out", required=True, help="model JSON path")
     _add_pipeline_args(p, fusion_args=False)
-    p.set_defaults(func=cmd_train_mlp)
 
-    p = sub.add_parser("score", help="score one clip through all systems", formatter_class=fmt)
-    _add_config_flag(p)
+    p = command("score", "score one clip through all systems", cmd_score)
     p.add_argument("--clip", required=True, help="clip CSV")
-    p.add_argument("--gmm-dep", required=True)
-    p.add_argument("--gmm-ndep", required=True)
-    p.add_argument("--mlp", required=True)
+    p.add_argument("--gmm-dep", required=True, help="depressed mixture JSON")
+    p.add_argument("--gmm-ndep", required=True, help="non-depressed mixture JSON")
+    p.add_argument("--mlp", required=True, help="segment classifier JSON")
     p.add_argument("--out", default=None, help="optional row output path")
     _add_pipeline_args(p)
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("loocv", help="leave-one-out evaluation", formatter_class=fmt)
-    _add_config_flag(p)
-    p.add_argument("--corpus", required=True)
+    p = command("loocv", "leave-one-out evaluation", cmd_loocv)
+    p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel folds (default: the CPUs this process may run on)",
-    )
+    p.add_argument("--jobs", type=int, help="parallel folds (None: one per usable CPU)")
     _add_pipeline_args(p)
-    p.set_defaults(func=cmd_loocv)
 
-    p = sub.add_parser("sweep", help="re-fuse a cached run across omegas", formatter_class=fmt)
-    _add_config_flag(p)
+    p = command("sweep", "re-fuse a cached run across omegas", cmd_sweep)
     p.add_argument("--report", required=True, help="report.json sidecar")
     p.add_argument("--omegas", required=True, help="comma-separated omega values")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--out", default=None, help="optional table output path")
 
-    p = sub.add_parser("report", help="re-render a cached run's table", formatter_class=fmt)
-    _add_config_flag(p)
+    p = command("report", "re-render a cached run's table", cmd_report)
     p.add_argument("--report", required=True, help="report.json sidecar")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report)
+    p.add_argument("--out", default=None, help="optional table output path")
 
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):
     """Load ``--config`` JSON (if any) as subcommand defaults; flags win."""
     if "--config" not in argv:
-        return argv
+        return
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise ValidationError("--config needs a file path")
@@ -439,45 +393,32 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     values = json.loads(config_path.read_text(encoding="utf-8"))
     if not isinstance(values, dict):
         raise ValidationError("config file must hold a JSON object")
-    # Locate the subparser to validate keys and set defaults.
-    command = argv[0] if argv and not argv[0].startswith("-") else None
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        subparser = action.choices.get(command) if command else None
-        if subparser is not None:
-            known = {a.dest for a in subparser._actions}  # noqa: SLF001
-            unknown = set(values) - known
-            if unknown:
-                raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-            subparser.set_defaults(**values)
-            for action in subparser._actions:  # noqa: SLF001
-                if action.dest in values and action.required:
-                    action.required = False
-            return argv
-    raise ValidationError("--config requires a subcommand")
+    subparser = parser._subparsers._group_actions[0].choices.get(argv[0])  # noqa: SLF001
+    if subparser is None:
+        raise ValidationError("--config requires a subcommand")
+    unknown = set(values) - {a.dest for a in subparser._actions}  # noqa: SLF001
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    subparser.set_defaults(**values)
+    for action in subparser._actions:  # noqa: SLF001
+        if action.dest in values:
+            action.required = False
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        prepared = args.func
-    except AttributeError:  # pragma: no cover - argparse enforces a command
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        return prepared(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.func(args)
     except ValueError as exc:
-        # Bad numeric settings and schema violations are configuration
-        # problems, not crashes.
+        # Bad numeric settings, schema violations and ValidationError are
+        # configuration problems, not crashes.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

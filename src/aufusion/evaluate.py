@@ -25,7 +25,15 @@ import numpy as np
 from . import fusion as fusion_mod
 from .fusion import FusionConfig, FusionResult, fuse
 from .gmm import EmConfig, GmmModel, fit_em, gmm_json, likelihood_ratio_decision, score_pair
-from .ingest import DEFAULT_STRIDE, DEFAULT_WINDOW, Corpus, Label, pooled_class_frames
+from .ingest import (
+    DEFAULT_STRIDE,
+    DEFAULT_WINDOW,
+    AUClip,
+    Corpus,
+    Label,
+    check_segmentable,
+    pooled_class_frames,
+)
 from .mlp import MlpModel, TrainConfig, mlp_json, predict_probs, train_mlp
 from .rankpool import DynamicDescriptor, RankPoolConfig, pool_clip
 
@@ -151,6 +159,34 @@ def segment_votes(model: MlpModel, descriptors: list[DynamicDescriptor]) -> list
     return [int(p > 0.5) for p in probs]
 
 
+def fit_class_gmms(
+    clips: list[AUClip], pipeline: PipelineConfig, seed: int
+) -> tuple[tuple[GmmModel, EmConfig], tuple[GmmModel, EmConfig]]:
+    """Fit the depressed mixture at ``seed`` and the non-depressed one at
+    ``seed + 1``, each on its class's pooled frames capped at
+    ``pipeline.gmm_fit_frames``. Returns each model with its config."""
+    pooled = pooled_class_frames(clips)
+    fitted = []
+    for offset, label in enumerate((Label.DEPRESSED, Label.NONDEPRESSED)):
+        config = replace(pipeline.em, seed=seed + offset)
+        frames = _subsample(pooled[label], pipeline.gmm_fit_frames)
+        fitted.append((fit_em(frames, config), config))
+    return tuple(fitted)
+
+
+def training_set(
+    clips: list[AUClip], descriptors: dict[str, list[DynamicDescriptor]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The clips' window descriptors as rows, in clip order, with label 1
+    for depressed and 0 for non-depressed."""
+    xs, ys = [], []
+    for clip in clips:
+        for desc in descriptors[clip.participant_id]:
+            xs.append(desc.d)
+            ys.append(1 if clip.label is Label.DEPRESSED else 0)
+    return np.array(xs), np.array(ys)
+
+
 def train_fold_models(
     corpus: Corpus,
     held_out_id: str,
@@ -166,23 +202,9 @@ def train_fold_models(
             f"training set for fold {held_out_id!r} is missing a class"
         )
     seed = fold_seed(pipeline.seed, held_out_id)
-
-    pooled = pooled_class_frames(train_clips)
-    dep_model = fit_em(
-        _subsample(pooled[Label.DEPRESSED], pipeline.gmm_fit_frames),
-        replace(pipeline.em, seed=seed),
-    )
-    ndep_model = fit_em(
-        _subsample(pooled[Label.NONDEPRESSED], pipeline.gmm_fit_frames),
-        replace(pipeline.em, seed=seed + 1),
-    )
-
-    xs, ys = [], []
-    for clip in train_clips:
-        for desc in descriptors[clip.participant_id]:
-            xs.append(desc.d)
-            ys.append(1 if clip.label is Label.DEPRESSED else 0)
-    mlp_model = train_mlp(np.array(xs), np.array(ys), replace(pipeline.mlp, seed=seed + 2))
+    (dep_model, _), (ndep_model, _) = fit_class_gmms(train_clips, pipeline, seed)
+    xs, ys = training_set(train_clips, descriptors)
+    mlp_model = train_mlp(xs, ys, replace(pipeline.mlp, seed=seed + 2))
     return dep_model, ndep_model, mlp_model
 
 
@@ -269,7 +291,9 @@ def _fold_task(
 def pool_corpus(
     corpus: Corpus, pipeline: PipelineConfig, jobs: int = 1
 ) -> dict[str, list[DynamicDescriptor]]:
-    """Descriptors for every clip, keyed by participant id."""
+    """Descriptors for every clip, keyed by participant id. Every clip's
+    length is checked before the first one is pooled."""
+    check_segmentable(corpus.clips, pipeline.window, pipeline.stride)
     ids = [c.participant_id for c in corpus.clips]
     return dict(zip(ids, _map_participants(_pool_task, ids, (corpus, pipeline), jobs)))
 

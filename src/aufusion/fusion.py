@@ -134,10 +134,19 @@ def sweep_omega(
         raise ValueError("need at least one cached record")
     if not omegas:
         raise ValueError("need at least one omega value")
-    for record in records:
+    for index, record in enumerate(records):
+        where = f"record {index}"
+        if "participant_id" in record:
+            where += f" ({record['participant_id']})"
         missing = [k for k in RECORD_KEYS if k not in record]
         if missing:
-            raise ValueError(f"cached record is missing {missing}")
+            raise ValueError(f"cached {where} is missing {missing}")
+        # A record's counts are checked once here, at the base weight, so a
+        # bad one is reported with its row; omega never affects the check.
+        try:
+            refuse_record(record, base.omega, base)
+        except ValueError as exc:
+            raise type(exc)(f"{where}: {exc}") from None
     table = []
     for omega in omegas:
         correct = 0

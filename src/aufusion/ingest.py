@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -44,7 +45,7 @@ class ExtraColumn(ValueError):
 
 
 class ParseError(ValueError):
-    """Non-numeric cell in an intensity column."""
+    """Non-numeric or non-finite cell in an intensity column."""
 
 
 class EmptyClip(ValueError):
@@ -210,11 +211,14 @@ def parse_au_csv(
         for i in au_indices:
             cell = row[i] if i < len(row) else ""
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
+                value = math.nan  # one message for unparsable and non-finite cells
+            if not math.isfinite(value):
                 raise ParseError(
-                    f"line {line_no}, column {header[i]!r}: non-numeric cell {cell!r}"
-                ) from None
+                    f"line {line_no}, column {header[i]!r}: {cell!r} is not a finite number"
+                )
+            values.append(value)
         rows.append(values)
     if not rows:
         raise EmptyClip("CSV has a header but no data rows")
@@ -235,21 +239,28 @@ def emit_au_csv(clip: AUClip) -> str:
     return out.getvalue()
 
 
+def check_segmentable(clips: Sequence[AUClip], window: int, stride: int):
+    """Reject bad window settings and every clip shorter than ``window``."""
+    if window < 2:
+        raise ValueError("window must be >= 2")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    short = [
+        f"clip {c.participant_id!r} has {c.n_frames} frames"
+        for c in clips
+        if c.n_frames < window
+    ]
+    if short:
+        raise ClipTooShort(f"{', '.join(short)}; needs at least {window}")
+
+
 def segment_clip(clip: AUClip, window: int, stride: int) -> list[Segment]:
     """Cut a clip into fixed-length windows at start indices 0, stride, ...
 
     A trailing remainder shorter than ``window`` is dropped; the returned
     segment count is ``floor((n_frames - window) / stride) + 1``.
     """
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if clip.n_frames < window:
-        raise ClipTooShort(
-            f"clip {clip.participant_id!r} has {clip.n_frames} frames, "
-            f"needs at least {window}"
-        )
+    check_segmentable([clip], window, stride)
     return [
         Segment(
             source_id=clip.participant_id,

@@ -90,8 +90,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_backward(params, x, y, masks=None):
-    """Mean binary cross-entropy and its parameter gradients on one batch.
+def _forward(params, x, masks=None):
+    """Hidden pre-activations, hidden activations after dropout, and the
+    output probabilities of one pass over normalized inputs.
 
     ``masks`` are pre-scaled inverted-dropout masks for the two hidden
     activations, or None for a deterministic pass.
@@ -104,6 +105,13 @@ def _forward_backward(params, x, y, masks=None):
     a2d = a2 * masks[1] if masks is not None else a2
     z3 = a2d @ params["w3"] + params["b3"]
     p = np.clip(_sigmoid(z3[:, 0]), _PROB_EPS, 1.0 - _PROB_EPS)
+    return z1, a1d, z2, a2d, p
+
+
+def _forward_backward(params, x, y, masks=None):
+    """Mean binary cross-entropy and its parameter gradients on one batch,
+    with dropout ``masks`` as in ``_forward``."""
+    z1, a1d, z2, a2d, p = _forward(params, x, masks)
     n = x.shape[0]
     loss = -float(np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
@@ -192,11 +200,7 @@ def predict_probs(model: MlpModel, descriptors) -> np.ndarray:
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    xn = (x - model.input_mean) / model.input_std
-    z1 = np.maximum(xn @ model.w1 + model.b1, 0.0)
-    z2 = np.maximum(z1 @ model.w2 + model.b2, 0.0)
-    p = _sigmoid((z2 @ model.w3 + model.b3)[:, 0])
-    return np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
+    return _forward(model.params(), (x - model.input_mean) / model.input_std)[-1]
 
 
 def mlp_json(model: MlpModel, config: TrainConfig | None = None) -> str:

@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from aufusion.cli import main
+from aufusion.cli import _pipeline_from_args, build_parser, main
+from aufusion.evaluate import PipelineConfig
 from aufusion.ingest import read_corpus
 
 FAST_FLAGS = ["--components", "4", "--n-init", "1", "--mlp-epochs", "60"]
@@ -145,7 +148,9 @@ class TestSweepCommand:
         bad.write_text(json.dumps(payload))
         code = main(["sweep", "--report", str(bad), "--omegas", "0,1"])
         assert code == 2
-        assert "vote count out of range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "vote count out of range" in err
+        assert "P001" in err
 
 
 class TestModelCommands:
@@ -221,3 +226,53 @@ class TestConfigFile:
         code = main(["synth", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+
+SUBCOMMANDS = ["synth", "fit-gmm", "pool", "train-mlp", "score", "loocv", "sweep", "report"]
+
+
+def help_blocks(text: str) -> dict[str, str]:
+    """Each option's help entry, continuation lines included, by its flag."""
+    blocks, current = {}, None
+    for line in text.splitlines():
+        if line.startswith("  -"):
+            current = line.split()[0].rstrip(",")
+            blocks[current] = line
+        elif line.startswith("   ") and current is not None:
+            blocks[current] += line
+        else:
+            current = None
+    return blocks
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_shows_every_default(self, command, capsys):
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        blocks = help_blocks(capsys.readouterr().out)
+        for action in subparsers.choices[command]._actions:
+            if action.option_strings and action.default not in (None, argparse.SUPPRESS):
+                flag = action.option_strings[0]
+                assert "(default:" in blocks[flag], flag
+
+    def test_loocv_without_flags_resolves_to_pipeline_config(self):
+        args = build_parser().parse_args(["loocv", "--corpus", "x", "--out", "y"])
+        default = PipelineConfig()
+        assert _pipeline_from_args(args) == replace(
+            default, em=replace(default.em, seed=7), mlp=replace(default.mlp, seed=7)
+        )
+
+    def test_switches_and_unset_values(self):
+        args = build_parser().parse_args(
+            ["score", "--clip", "c", "--gmm-dep", "d", "--gmm-ndep", "n", "--mlp", "m",
+             "--no-smooth", "--raw-ll", "--tau", "0.5", "--gmm-fit-frames", "100"]
+        )
+        pipeline = _pipeline_from_args(args)
+        assert pipeline.rankpool.smooth is False
+        assert pipeline.fusion.normalize_ll is False
+        assert pipeline.fusion.tau == 0.5
+        assert pipeline.gmm_fit_frames == 100

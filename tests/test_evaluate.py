@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from aufusion import evaluate
+from aufusion import evaluate, rankpool
 from aufusion.evaluate import (
     ConfigIncomplete,
     FoldRow,
@@ -18,6 +18,7 @@ from aufusion.evaluate import (
     hash_mlp,
     loocv,
     majority_vote,
+    pool_corpus,
     render_report,
     report_from_sidecar,
     report_to_sidecar,
@@ -27,7 +28,7 @@ from aufusion.evaluate import (
     write_report_files,
 )
 from aufusion.gmm import EmConfig, GmmModel, save_gmm
-from aufusion.ingest import AUClip, Corpus, Label, SynthConfig, synth_corpus
+from aufusion.ingest import AUClip, ClipTooShort, Corpus, Label, SynthConfig, synth_corpus
 from aufusion.mlp import TrainConfig, save_mlp, train_mlp
 
 from fixture_rows import REFERENCE_DECISIONS, reference_rows
@@ -134,6 +135,26 @@ class TestLoocv:
                 FAST_PIPELINE,
                 {c.participant_id: [] for c in clips},
             )
+
+
+class TestShortClips:
+    # `aufusion pool` pools through pool_corpus; loocv pools before any fold.
+    @pytest.mark.parametrize("run", [loocv, pool_corpus], ids=["loocv", "pool"])
+    def test_rejected_before_any_clip_is_pooled(self, small_corpus, monkeypatch, run):
+        last = small_corpus.clips[-1]
+        short = AUClip(last.participant_id, last.frames[:100], last.label)
+        corpus = Corpus(small_corpus.clips[:-1] + [short])
+        calls = []
+        solve = rankpool.solve_rank_kernel
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(rankpool, "solve_rank_kernel", counting)
+        with pytest.raises(ClipTooShort, match=last.participant_id):
+            run(corpus, FAST_PIPELINE, jobs=1)
+        assert calls == []
 
 
 class TestNoLeakageAndDeterminism:

@@ -59,6 +59,13 @@ class TestParseAuCsv:
         with pytest.raises(ParseError):
             parse_au_csv(text)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_names_line_and_column(self, cell):
+        frames = np.zeros((3, AU_COUNT))
+        frames[1, 4] = float(cell)
+        with pytest.raises(ParseError, match=f"line 3, column '{AU_COLUMN_NAMES[4]}'.*{cell}"):
+            parse_au_csv(_csv_text(frames))
+
     def test_header_only(self):
         with pytest.raises(EmptyClip):
             parse_au_csv(",".join(AU_COLUMN_NAMES) + "\n")
