@@ -6,8 +6,9 @@ Subcommands cover the whole workflow: ``synth`` writes a synthetic corpus,
 protocol, ``sweep`` re-fuses a cached run across vote weights, and
 ``report`` re-renders a cached run's table.
 
-Every flag has a default shown in ``--help``; a JSON config file can supply
-values, but explicit flags win. All randomness flows from ``--seed``. Every
+Each subcommand takes the flags of the pipeline stages it runs, each with a
+default shown in ``--help``; a JSON config file can supply values for those
+flags, but explicit flags win. All randomness flows from ``--seed``. Every
 run that writes outputs also writes a provenance file with the resolved
 configuration. Exit codes: 0 success, 1 runtime failure, 2 usage or
 validation error.
@@ -31,97 +32,88 @@ from .evaluate import (
     pool_corpus,
     render_report,
     report_from_sidecar,
-    segment_votes,
+    score_clip,
     sweep_from_sidecar,
     training_set,
     write_report_files,
 )
-from .fusion import fuse
-from .gmm import likelihood_ratio_decision, load_gmm, save_gmm, score_pair
-from .ingest import (
-    Corpus,
-    Label,
-    SynthConfig,
-    parse_au_csv,
-    read_corpus,
-    synth_corpus,
-    write_corpus,
-)
+from .gmm import likelihood_ratio_decision, load_gmm, save_gmm
+from .ingest import Corpus, Label, SynthConfig, read_clip, read_corpus, synth_corpus, write_corpus
 from .mlp import load_mlp, save_mlp, train_mlp
-from .rankpool import pool_clip, read_descriptors, write_descriptors
+from .rankpool import read_descriptors, write_descriptors
 
 
 class ValidationError(ValueError):
     """Bad arguments or missing inputs; maps to exit code 2."""
 
 
-# One row per flag that sets a config field: (flag, section, field, help).
+# One row per flag that sets a config field: (stage, flag, section, field,
+# help). ``stage`` names the pipeline stage that reads the flag and titles
+# its help group; a subcommand takes the flags of the stages it runs.
 # ``section`` names the part of PipelineConfig that holds the field ("" for
 # PipelineConfig itself). The flag's default and type come from the field; a
 # boolean field's flag switches it off. Row order is the order of the flags
 # in usage lines and provenance files.
-_PIPELINE_FLAGS = (
-    ("--window", "", "window", "segment length in frames"),
-    ("--stride", "", "stride", "segment start spacing"),
-    ("--components", "em", "n_components", "mixture components per class"),
-    ("--em-iters", "em", "max_iters", "max EM iterations"),
-    ("--em-tol", "em", "tol", "relative improvement stop"),
-    ("--variance-floor", "em", "variance_floor", "lower bound on every component variance"),
-    ("--n-init", "em", "n_init", "EM restarts"),
-    ("--gmm-fit-frames", "", "gmm_fit_frames", "cap on pooled frames per class for EM"),
-    ("--margin", "rankpool", "margin", "required rank score gap"),
-    ("--reg-c", "rankpool", "reg_c", "hinge trade-off"),
-    ("--rank-epochs", "rankpool", "max_epochs", "max ranking-kernel solver epochs"),
-    ("--step-size", "rankpool", "step_size", "initial solver step size"),
-    ("--no-smooth", "rankpool", "smooth", "disable running-mean smoothing"),
-    ("--hidden1", "mlp", "hidden1", "first hidden layer width"),
-    ("--hidden2", "mlp", "hidden2", "second hidden layer width"),
-    ("--dropout", "mlp", "dropout", "dropout rate after each hidden layer"),
-    ("--learning-rate", "mlp", "learning_rate", "SGD step size"),
-    ("--mlp-epochs", "mlp", "epochs", "training epochs"),
-    ("--batch-size", "mlp", "batch_size", "SGD mini-batch size"),
-    ("--omega", "fusion", "omega", "vote weight"),
-    ("--tau", "fusion", "tau", "decision threshold (None: omega*N/2)"),
-    ("--raw-ll", "fusion", "normalize_ll", "use the raw likelihood gap, not its frame mean"),
-    ("--seed", "", "seed", "root seed for all randomness"),
+MIXTURE, POOLING, CLASSIFIER, FUSION, SEED = (
+    "mixture fitting", "rank pooling", "segment classifier", "fusion", "seed"
 )
-
-_SECTION_TITLES = {
-    "": "pipeline (17 AU intensity columns per frame)",
-    "em": "mixture fitting",
-    "rankpool": "rank pooling",
-    "mlp": "segment classifier",
-    "fusion": "fusion",
-}
+_PIPELINE_FLAGS = (
+    (POOLING, "--window", "", "window", "segment length in frames"),
+    (POOLING, "--stride", "", "stride", "segment start spacing"),
+    (MIXTURE, "--components", "em", "n_components", "mixture components per class"),
+    (MIXTURE, "--em-iters", "em", "max_iters", "max EM iterations"),
+    (MIXTURE, "--em-tol", "em", "tol", "relative improvement stop"),
+    (MIXTURE, "--variance-floor", "em", "variance_floor", "floor on every component variance"),
+    (MIXTURE, "--n-init", "em", "n_init", "EM restarts"),
+    (MIXTURE, "--gmm-fit-frames", "", "gmm_fit_frames", "cap on pooled frames per class for EM"),
+    (POOLING, "--margin", "rankpool", "margin", "required rank score gap"),
+    (POOLING, "--reg-c", "rankpool", "reg_c", "hinge trade-off"),
+    (POOLING, "--rank-epochs", "rankpool", "max_epochs", "max ranking-kernel solver epochs"),
+    (POOLING, "--step-size", "rankpool", "step_size", "initial solver step size"),
+    (POOLING, "--no-smooth", "rankpool", "smooth", "disable running-mean smoothing"),
+    (CLASSIFIER, "--hidden1", "mlp", "hidden1", "first hidden layer width"),
+    (CLASSIFIER, "--hidden2", "mlp", "hidden2", "second hidden layer width"),
+    (CLASSIFIER, "--dropout", "mlp", "dropout", "dropout rate after each hidden layer"),
+    (CLASSIFIER, "--learning-rate", "mlp", "learning_rate", "SGD step size"),
+    (CLASSIFIER, "--mlp-epochs", "mlp", "epochs", "training epochs"),
+    (CLASSIFIER, "--batch-size", "mlp", "batch_size", "SGD mini-batch size"),
+    (FUSION, "--omega", "fusion", "omega", "vote weight"),
+    (FUSION, "--tau", "fusion", "tau", "decision threshold (None: omega*N/2)"),
+    (FUSION, "--raw-ll", "fusion", "normalize_ll", "use the raw, not per-frame, likelihood gap"),
+    (SEED, "--seed", "", "seed", "root seed for all randomness"),
+)
 
 # The same rows for SynthConfig, which has no sections.
 _SYNTH_FLAGS = (
-    ("--n", "", "n_participants", "participants (even)"),
-    ("--frames", "", "frames_per_clip", "frames per clip"),
-    ("--separation", "", "class_separation", "class separation"),
-    ("--noise", "", "noise_std", "per-frame noise std"),
-    ("--seed", "", "seed", "root seed"),
+    ("synthetic corpus", "--n", "", "n_participants", "participants (even)"),
+    ("synthetic corpus", "--frames", "", "frames_per_clip", "frames per clip"),
+    ("synthetic corpus", "--separation", "", "class_separation", "class separation"),
+    ("synthetic corpus", "--noise", "", "noise_std", "per-frame noise std"),
+    ("synthetic corpus", "--seed", "", "seed", "root seed"),
 )
 
 
-def _add_flags(groups, rows, config):
-    """One flag per row; ``groups`` maps each section to its argument group
-    and ``config`` supplies the defaults."""
-    for flag, section, field, help_text in rows:
+def _add_flags(parser: argparse.ArgumentParser, rows, config):
+    """One flag per row, in one help group per stage; ``config`` supplies
+    the defaults."""
+    groups = {}
+    for stage, flag, section, field, help_text in rows:
+        if stage not in groups:
+            groups[stage] = parser.add_argument_group(stage)
         owner = getattr(config, section) if section else config
         default = getattr(owner, field)
         if isinstance(default, bool):
-            groups[section].add_argument(flag, action="store_true", help=help_text)
+            groups[stage].add_argument(flag, action="store_true", help=help_text)
             continue
         hint = typing.get_type_hints(type(owner))[field]
         kind = (typing.get_args(hint) or (hint,))[0]  # int | None -> int
-        groups[section].add_argument(flag, type=kind, default=default, help=help_text)
+        groups[stage].add_argument(flag, type=kind, default=default, help=help_text)
 
 
 def _values_from_args(args, rows) -> dict[str, dict]:
     """Field values per section from the parsed flags the parser has."""
     values: dict[str, dict] = {}
-    for flag, section, field, _ in rows:
+    for _, flag, section, field, _ in rows:
         dest = flag[2:].replace("-", "_")
         if hasattr(args, dest):
             value = getattr(args, dest)
@@ -129,21 +121,19 @@ def _values_from_args(args, rows) -> dict[str, dict]:
     return values
 
 
-def _add_pipeline_args(parser: argparse.ArgumentParser, fusion_args: bool = True):
-    sections = [s for s in _SECTION_TITLES if fusion_args or s != "fusion"]
-    groups = {s: parser.add_argument_group(_SECTION_TITLES[s]) for s in sections}
-    rows = [row for row in _PIPELINE_FLAGS if row[1] in groups]
-    _add_flags(groups, rows, PipelineConfig())
+def _add_pipeline_args(parser: argparse.ArgumentParser, *stages: str):
+    _add_flags(parser, [row for row in _PIPELINE_FLAGS if row[0] in stages], PipelineConfig())
 
 
 def _pipeline_from_args(args) -> PipelineConfig:
+    """The parsed flags over the ``PipelineConfig`` defaults."""
     values = _values_from_args(args, _PIPELINE_FLAGS)
+    base = PipelineConfig()
     # The root seed also seeds every model; folds derive their own from it.
     for section in ("em", "mlp"):
-        values[section]["seed"] = args.seed
-    base = PipelineConfig()
+        values.setdefault(section, {})["seed"] = getattr(args, "seed", base.seed)
     parts = {s: replace(getattr(base, s), **v) for s, v in values.items() if s}
-    return replace(base, **values[""], **parts)
+    return replace(base, **values.get("", {}), **parts)
 
 
 def _write_provenance(target: Path, command: str, args: argparse.Namespace):
@@ -251,29 +241,14 @@ def cmd_score(args) -> int:
     dep_model, _ = load_gmm(_require_file(args.gmm_dep, "depressed model"))
     ndep_model, _ = load_gmm(_require_file(args.gmm_ndep, "non-depressed model"))
     mlp_model, _ = load_mlp(_require_file(args.mlp, "segment classifier model"))
-    pipeline = _pipeline_from_args(args)
-
-    with open(clip_path, encoding="utf-8") as fh:
-        clip = parse_au_csv(fh, participant_id=clip_path.stem)
-    ll_dep, ll_ndep = score_pair(dep_model, ndep_model, clip)
-    descriptors = pool_clip(clip, pipeline.window, pipeline.stride, pipeline.rankpool)
-    votes = segment_votes(mlp_model, descriptors)
-    result = fuse(ll_dep, ll_ndep, votes, pipeline.fusion, n_frames=clip.n_frames)
+    clip = read_clip(clip_path, clip_path.stem)
+    result, _ = score_clip(clip, (dep_model, ndep_model, mlp_model), _pipeline_from_args(args))
     header = "participant_id\tll_dep\tll_ndep\tn_segments\tn_dep_votes\tscore\tdecision"
-    line = "\t".join(
-        [
-            clip.participant_id,
-            repr(ll_dep),
-            repr(ll_ndep),
-            str(result.n_segments),
-            str(result.n_dep_votes),
-            repr(result.score),
-            result.decision.value,
-        ]
-    )
+    numbers = (result.ll_dep, result.ll_ndep, result.n_segments, result.n_dep_votes, result.score)
+    line = "\t".join([clip.participant_id, *map(repr, numbers), result.decision.value])
     print(header)
     print(line)
-    gmm_only = likelihood_ratio_decision(ll_dep, ll_ndep)
+    gmm_only = likelihood_ratio_decision(result.ll_dep, result.ll_ndep)
     print(f"# gmm-only decision: {gmm_only.value}", file=sys.stderr)
     if args.out:
         _write_output(Path(args.out), header + "\n" + line + "\n", "score", args)
@@ -328,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aufusion", description=__doc__, formatter_class=fmt)
     parser.add_argument("--version", action="version", version=f"aufusion {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="JSON file of flag values; flags win")
+    common = _config_parser()
 
     def command(name, help_text, func):
         p = sub.add_parser(name, help=help_text, parents=[common], formatter_class=fmt)
@@ -338,23 +312,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("synth", "generate a balanced synthetic corpus", cmd_synth)
     p.add_argument("--out", required=True, help="output corpus directory")
-    _add_flags({"": p}, _SYNTH_FLAGS, SynthConfig())
+    _add_flags(p, _SYNTH_FLAGS, SynthConfig())
 
     p = command("fit-gmm", "fit both class mixtures on a corpus", cmd_fit_gmm)
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="output model directory")
-    _add_pipeline_args(p, fusion_args=False)
+    _add_pipeline_args(p, MIXTURE, SEED)
 
     p = command("pool", "rank-pool every clip into descriptors", cmd_pool)
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="descriptor TSV path")
-    _add_pipeline_args(p, fusion_args=False)
+    _add_pipeline_args(p, POOLING)
 
     p = command("train-mlp", "train the segment vote classifier", cmd_train_mlp)
     p.add_argument("--corpus", required=True, help="corpus directory (labels)")
     p.add_argument("--descriptors", required=True, help="descriptor TSV from pool")
     p.add_argument("--out", required=True, help="model JSON path")
-    _add_pipeline_args(p, fusion_args=False)
+    _add_pipeline_args(p, CLASSIFIER, SEED)
 
     p = command("score", "score one clip through all systems", cmd_score)
     p.add_argument("--clip", required=True, help="clip CSV")
@@ -362,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmm-ndep", required=True, help="non-depressed mixture JSON")
     p.add_argument("--mlp", required=True, help="segment classifier JSON")
     p.add_argument("--out", default=None, help="optional row output path")
-    _add_pipeline_args(p)
+    _add_pipeline_args(p, POOLING, FUSION)
 
     p = command("loocv", "leave-one-out evaluation", cmd_loocv)
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="report output directory")
     p.add_argument("--jobs", type=int, help="parallel folds (None: one per usable CPU)")
-    _add_pipeline_args(p)
+    _add_pipeline_args(p, MIXTURE, POOLING, CLASSIFIER, FUSION, SEED)
 
     p = command("sweep", "re-fuse a cached run across omegas", cmd_sweep)
     p.add_argument("--report", required=True, help="report.json sidecar")
@@ -382,14 +356,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_parser() -> argparse.ArgumentParser:
+    """The ``--config`` flag every subcommand inherits."""
+    parser = argparse.ArgumentParser(prog="aufusion", add_help=False)
+    parser.add_argument("--config", metavar="FILE", help="JSON file of flag values; flags win")
+    return parser
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):
     """Load ``--config`` JSON (if any) as subcommand defaults; flags win."""
-    if "--config" not in argv:
+    path = _config_parser().parse_known_args(argv)[0].config
+    if path is None:
         return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValidationError("--config needs a file path")
-    config_path = _require_file(argv[idx + 1], "config file")
+    config_path = _require_file(path, "config file")
     values = json.loads(config_path.read_text(encoding="utf-8"))
     if not isinstance(values, dict):
         raise ValidationError("config file must hold a JSON object")

@@ -108,14 +108,9 @@ def correct_count(rows: list[FoldRow], system: str) -> int:
     """Rows whose decision in one system's column matches the label."""
     if not rows:
         raise ValueError("need at least one row")
-    attr = {
-        "gmm": "gmm_decision",
-        "rankpool": "rankpool_decision",
-        "combined": "combined_decision",
-    }.get(system)
-    if attr is None:
+    if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-    return sum(1 for row in rows if getattr(row, attr) == row.label)
+    return sum(1 for row in rows if getattr(row, f"{system}_decision") == row.label)
 
 
 def accuracy(rows: list[FoldRow], system: str) -> float:
@@ -208,6 +203,23 @@ def train_fold_models(
     return dep_model, ndep_model, mlp_model
 
 
+def score_clip(
+    clip: AUClip,
+    models: tuple[GmmModel, GmmModel, MlpModel],
+    pipeline: PipelineConfig,
+    descriptors: list[DynamicDescriptor] | None = None,
+) -> tuple[FusionResult, list[int]]:
+    """Score one clip with the (depressed, non-depressed, vote) models and
+    fuse; returns the fused result and the segment votes. The clip is pooled
+    when ``descriptors`` is None."""
+    dep_model, ndep_model, mlp_model = models
+    ll_dep, ll_ndep = score_pair(dep_model, ndep_model, clip)
+    if descriptors is None:
+        descriptors = pool_clip(clip, pipeline.window, pipeline.stride, pipeline.rankpool)
+    votes = segment_votes(mlp_model, descriptors)
+    return fuse(ll_dep, ll_ndep, votes, pipeline.fusion, n_frames=clip.n_frames), votes
+
+
 def run_fold(
     corpus: Corpus,
     held_out_id: str,
@@ -217,24 +229,18 @@ def run_fold(
     """Train on all other clips and score the held-out one."""
     if descriptors is None:
         descriptors = pool_corpus(corpus, pipeline)
-    dep_model, ndep_model, mlp_model = train_fold_models(
-        corpus, held_out_id, pipeline, descriptors
-    )
-
+    models = train_fold_models(corpus, held_out_id, pipeline, descriptors)
     held_out = corpus.by_id(held_out_id)
-    ll_dep, ll_ndep = score_pair(dep_model, ndep_model, held_out)
-    votes = segment_votes(mlp_model, descriptors[held_out_id])
-    fused: FusionResult = fuse(
-        ll_dep, ll_ndep, votes, pipeline.fusion, n_frames=held_out.n_frames
-    )
+    fused, votes = score_clip(held_out, models, pipeline, descriptors[held_out_id])
+    dep_model, ndep_model, mlp_model = models
     return FoldRow(
         participant_id=held_out_id,
         label=held_out.label,
-        gmm_decision=likelihood_ratio_decision(ll_dep, ll_ndep),
+        gmm_decision=likelihood_ratio_decision(fused.ll_dep, fused.ll_ndep),
         rankpool_decision=majority_vote(votes),
         combined_decision=fused.decision,
-        ll_dep=ll_dep,
-        ll_ndep=ll_ndep,
+        ll_dep=fused.ll_dep,
+        ll_ndep=fused.ll_ndep,
         n_frames=held_out.n_frames,
         n_segments=fused.n_segments,
         n_dep_votes=fused.n_dep_votes,

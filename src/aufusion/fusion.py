@@ -18,6 +18,7 @@ record's counts to the same rule without rebuilding the votes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -35,8 +36,11 @@ class FusionConfig:
     normalize_ll: bool = True  # divide the likelihood gap by the frame count
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("omega must be nonnegative")
+        # Each check is written so that NaN fails it.
+        if not 0 <= self.omega < math.inf:
+            raise ValueError("omega must be nonnegative and finite")
+        if self.tau is not None and not -math.inf < self.tau < math.inf:
+            raise ValueError("tau must be finite")
 
 
 @dataclass(frozen=True)

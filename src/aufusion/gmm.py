@@ -37,15 +37,16 @@ class EmConfig:
     n_init: int = 3
 
     def __post_init__(self):
-        if self.n_components < 1:
+        # Each check is written so that NaN fails it.
+        if not self.n_components >= 1:
             raise ValueError("n_components must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.variance_floor < 0:
+        if not self.variance_floor >= 0:
             raise ValueError("variance_floor must be nonnegative")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
-        if self.n_init < 1:
+        if not self.n_init >= 1:
             raise ValueError("n_init must be >= 1")
 
 
@@ -231,18 +232,10 @@ def fit_em(
             "a feature column is constant; set a positive variance_floor"
         )
 
-    best: tuple[GmmModel, float] | None = None
-    traces: list[list[float]] = []
-    for run_index in range(config.n_init):
-        model, trace = _em_single_run(frames, config, run_index)
-        traces.append(trace)
-        final_ll = trace[-1]
-        if best is None or final_ll > best[1]:
-            best = (model, final_ll)
-    assert best is not None
-    if return_trace:
-        return best[0], traces
-    return best[0]
+    runs = [_em_single_run(frames, config, run_index) for run_index in range(config.n_init)]
+    # ``max`` keeps the first of equal final log-likelihoods.
+    best = max(runs, key=lambda run: run[1][-1])[0]
+    return (best, [trace for _, trace in runs]) if return_trace else best
 
 
 def score_pair(dep: GmmModel, ndep: GmmModel, clip: AUClip) -> tuple[float, float]:

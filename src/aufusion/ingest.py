@@ -158,15 +158,16 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self):
+        # Each check is written so that NaN fails it.
         if self.n_participants < 2 or self.n_participants % 2 != 0:
             raise ValueError("n_participants must be even and >= 2 (balanced classes)")
-        if self.frames_per_clip < 2 * DEFAULT_WINDOW:
+        if not self.frames_per_clip >= 2 * DEFAULT_WINDOW:
             raise ValueError(
                 f"frames_per_clip must be >= {2 * DEFAULT_WINDOW} (two default windows)"
             )
-        if self.class_separation < 0:
+        if not self.class_separation >= 0:
             raise ValueError("class_separation must be nonnegative")
-        if self.noise_std <= 0:
+        if not self.noise_std > 0:
             raise ValueError("noise_std must be positive")
 
 
@@ -225,6 +226,15 @@ def parse_au_csv(
     return AUClip(participant_id=participant_id, frames=np.array(rows), label=label)
 
 
+def read_clip(path: str | Path, participant_id: str, label: Label | None = None) -> AUClip:
+    """Parse one clip CSV file; a parse error names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse_au_csv(fh, participant_id, label)
+        except (MissingColumn, ExtraColumn, ParseError, EmptyClip) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+
+
 def emit_au_csv(clip: AUClip) -> str:
     """Serialize a clip back to CSV with canonical AU column names.
 
@@ -241,9 +251,9 @@ def emit_au_csv(clip: AUClip) -> str:
 
 def check_segmentable(clips: Sequence[AUClip], window: int, stride: int):
     """Reject bad window settings and every clip shorter than ``window``."""
-    if window < 2:
+    if not window >= 2:
         raise ValueError("window must be >= 2")
-    if stride < 1:
+    if not stride >= 1:
         raise ValueError("stride must be >= 1")
     short = [
         f"clip {c.participant_id!r} has {c.n_frames} frames"
@@ -340,8 +350,7 @@ def read_corpus(directory: str | Path) -> Corpus:
                 continue
             record = json.loads(line)
             label = Label(record["label"]) if record["label"] is not None else None
-            with open(directory / record["path"], encoding="utf-8") as fh:
-                clips.append(parse_au_csv(fh, record["participant_id"], label))
+            clips.append(read_clip(directory / record["path"], record["participant_id"], label))
     return Corpus(clips)
 
 

@@ -38,13 +38,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden1 < 1 or self.hidden2 < 1:
+        # Each check is written so that NaN fails it.
+        if not (self.hidden1 >= 1 and self.hidden2 >= 1):
             raise ValueError("hidden sizes must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
+        if not (self.epochs >= 1 and self.batch_size >= 1):
             raise ValueError("epochs and batch_size must be >= 1")
 
 

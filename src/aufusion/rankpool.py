@@ -48,13 +48,14 @@ class RankPoolConfig:
     smooth: bool = True  # running-mean smoothing before pair construction
 
     def __post_init__(self):
-        if self.margin <= 0:
+        # Each check is written so that NaN fails it.
+        if not self.margin > 0:
             raise ValueError("margin must be positive")
-        if self.reg_c <= 0:
+        if not self.reg_c > 0:
             raise ValueError("reg_c must be positive")
-        if self.max_epochs < 1:
+        if not self.max_epochs >= 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError("step_size must be positive")
 
 
@@ -179,9 +180,12 @@ def pool_clip(
     return [rank_pool(seg, config) for seg in segment_clip(clip, window, stride)]
 
 
+_DESCRIPTOR_HEADER = "source_id\tstart_index\t" + "\t".join(f"d{i:02d}" for i in range(AU_COUNT))
+
+
 def write_descriptors(descriptors: list[DynamicDescriptor], path: str | Path):
     """Tab-separated dump: source_id, start_index, 17 weights per row."""
-    lines = ["source_id\tstart_index\t" + "\t".join(f"d{i:02d}" for i in range(AU_COUNT))]
+    lines = [_DESCRIPTOR_HEADER]
     for desc in descriptors:
         lines.append(
             f"{desc.source_id}\t{desc.start_index}\t"
@@ -191,15 +195,19 @@ def write_descriptors(descriptors: list[DynamicDescriptor], path: str | Path):
 
 
 def read_descriptors(path: str | Path) -> list[DynamicDescriptor]:
+    """Read a ``write_descriptors`` dump; a bad header, field count or weight
+    is reported with the file and line."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    if not lines or lines[0] != _DESCRIPTOR_HEADER:
+        raise ValueError(f"{path}: line 1: expected the header {_DESCRIPTOR_HEADER!r}")
     out = []
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
-        out.append(
-            DynamicDescriptor(
-                d=np.array([float(x) for x in parts[2:]]),
-                source_id=parts[0],
-                start_index=int(parts[1]),
-            )
-        )
+        try:
+            if len(parts) != 2 + AU_COUNT:
+                raise ValueError(f"expected {2 + AU_COUNT} fields, found {len(parts)}")
+            d = np.array([float(x) for x in parts[2:]])
+            out.append(DynamicDescriptor(d=d, source_id=parts[0], start_index=int(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return out

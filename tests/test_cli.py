@@ -10,7 +10,9 @@ from aufusion.cli import _pipeline_from_args, build_parser, main
 from aufusion.evaluate import PipelineConfig
 from aufusion.ingest import read_corpus
 
-FAST_FLAGS = ["--components", "4", "--n-init", "1", "--mlp-epochs", "60"]
+MIXTURE_FLAGS = ["--components", "4", "--n-init", "1"]
+CLASSIFIER_FLAGS = ["--mlp-epochs", "60"]
+FAST_FLAGS = MIXTURE_FLAGS + CLASSIFIER_FLAGS
 
 
 def tree_digest(root: Path) -> dict:
@@ -66,13 +68,13 @@ def workspace(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("models")
     corpus = synth(tmp_path)
     models = tmp_path / "models"
-    assert main(["fit-gmm", "--corpus", str(corpus), "--out", str(models), *FAST_FLAGS]) == 0
+    assert main(["fit-gmm", "--corpus", str(corpus), "--out", str(models), *MIXTURE_FLAGS]) == 0
     descs = tmp_path / "descriptors.tsv"
     assert main(["pool", "--corpus", str(corpus), "--out", str(descs)]) == 0
     mlp_path = tmp_path / "mlp.json"
     assert main(
         ["train-mlp", "--corpus", str(corpus), "--descriptors", str(descs),
-         "--out", str(mlp_path), *FAST_FLAGS]
+         "--out", str(mlp_path), *CLASSIFIER_FLAGS]
     ) == 0
     return tmp_path, corpus, models, descs, mlp_path
 
@@ -220,6 +222,13 @@ class TestConfigFile:
         assert main(["synth", "--config", str(config)]) == 0
         assert len(read_corpus(out)) == 4
 
+    def test_equals_form_is_read(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 4, "frames": 300}))
+        out = tmp_path / "eq"
+        assert main(["synth", f"--config={config}", "--out", str(out)]) == 0
+        assert len(read_corpus(out)) == 4
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"wat": 1}))
@@ -269,10 +278,124 @@ class TestDefaults:
     def test_switches_and_unset_values(self):
         args = build_parser().parse_args(
             ["score", "--clip", "c", "--gmm-dep", "d", "--gmm-ndep", "n", "--mlp", "m",
-             "--no-smooth", "--raw-ll", "--tau", "0.5", "--gmm-fit-frames", "100"]
+             "--no-smooth", "--raw-ll", "--tau", "0.5"]
         )
         pipeline = _pipeline_from_args(args)
         assert pipeline.rankpool.smooth is False
         assert pipeline.fusion.normalize_ll is False
         assert pipeline.fusion.tau == 0.5
-        assert pipeline.gmm_fit_frames == 100
+        args = build_parser().parse_args(
+            ["fit-gmm", "--corpus", "c", "--out", "o", "--gmm-fit-frames", "100"]
+        )
+        assert _pipeline_from_args(args).gmm_fit_frames == 100
+
+
+# The pipeline flags of each subcommand, in usage and provenance order.
+POOLING = ["--window", "--stride", "--margin", "--reg-c", "--rank-epochs", "--step-size",
+           "--no-smooth"]
+STAGE_FLAGS = {
+    "fit-gmm": ["--components", "--em-iters", "--em-tol", "--variance-floor", "--n-init",
+                "--gmm-fit-frames", "--seed"],
+    "pool": POOLING,
+    "train-mlp": ["--hidden1", "--hidden2", "--dropout", "--learning-rate", "--mlp-epochs",
+                  "--batch-size", "--seed"],
+    "score": POOLING + ["--omega", "--tau", "--raw-ll"],
+    "loocv": ["--window", "--stride", "--components", "--em-iters", "--em-tol",
+              "--variance-floor", "--n-init", "--gmm-fit-frames", "--margin", "--reg-c",
+              "--rank-epochs", "--step-size", "--no-smooth", "--hidden1", "--hidden2",
+              "--dropout", "--learning-rate", "--mlp-epochs", "--batch-size", "--omega",
+              "--tau", "--raw-ll", "--seed"],
+    "sweep": [],
+    "report": [],
+}
+IO_FLAGS = {"-h", "--help", "--config", "--corpus", "--out", "--descriptors", "--clip",
+            "--gmm-dep", "--gmm-ndep", "--mlp", "--jobs", "--report", "--omegas"}
+
+
+def pipeline_flags(command: str) -> list[str]:
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return [
+        flag
+        for action in subparsers.choices[command]._actions
+        for flag in action.option_strings
+        if flag not in IO_FLAGS
+    ]
+
+
+class TestStageFlags:
+    @pytest.mark.parametrize("command", list(STAGE_FLAGS))
+    def test_each_command_takes_the_flags_of_its_stages(self, command):
+        assert pipeline_flags(command) == STAGE_FLAGS[command]
+
+    def test_settable_pipeline_values(self):
+        assert sum(len(pipeline_flags(c)) for c in STAGE_FLAGS) == 54
+
+    def test_other_stage_flag_is_usage_error_without_outputs(self, tmp_path, capsys):
+        corpus = synth(tmp_path)
+        out = tmp_path / "descriptors.tsv"
+        with pytest.raises(SystemExit) as exc:
+            main(["pool", "--corpus", str(corpus), "--out", str(out), "--components", "2"])
+        assert exc.value.code == 2
+        assert "--components" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_other_stage_config_key_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"components": 2}))
+        out = tmp_path / "descriptors.tsv"
+        code = main(["pool", "--config", str(config), "--corpus", "c", "--out", str(out)])
+        assert code == 2
+        assert "unknown config keys: ['components']" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def corrupt_cell(clip: Path, line_no: int, column: str, text: str):
+    lines = clip.read_text().splitlines()
+    cells = lines[line_no - 1].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[line_no - 1] = ",".join(cells)
+    clip.write_text("\n".join(lines) + "\n")
+
+
+class TestInputErrorsNameTheFile:
+    def test_corpus_clip_parse_error(self, tmp_path, capsys):
+        corpus = synth(tmp_path)
+        clip = corpus / "clips" / "P003.csv"
+        corrupt_cell(clip, 6, "AU04_r", "x")
+        out = tmp_path / "run"
+        code = main(["loocv", "--corpus", str(corpus), "--out", str(out), "--jobs", "1"])
+        assert code == 2
+        assert f"{clip}: line 6, column 'AU04_r': 'x' is not a finite number" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_scored_clip_parse_error(self, workspace, tmp_path, capsys):
+        _, corpus, models, _, mlp_path = workspace
+        clip = tmp_path / "P001.csv"
+        clip.write_text((corpus / "clips" / "P001.csv").read_text())
+        corrupt_cell(clip, 3, "AU12_r", "nan")
+        code = main(
+            ["score", "--clip", str(clip),
+             "--gmm-dep", str(models / "gmm-depressed.json"),
+             "--gmm-ndep", str(models / "gmm-nondepressed.json"),
+             "--mlp", str(mlp_path)]
+        )
+        assert code == 2
+        assert f"{clip}: line 3, column 'AU12_r'" in capsys.readouterr().err
+
+    def test_descriptor_row_with_a_missing_weight(self, workspace, tmp_path, capsys):
+        _, corpus, _, descs, _ = workspace
+        lines = descs.read_text().splitlines()
+        lines[2] = lines[2].rsplit("\t", 1)[0]  # 16 weights
+        bad = tmp_path / "descriptors.tsv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "mlp.json"
+        code = main(
+            ["train-mlp", "--corpus", str(corpus), "--descriptors", str(bad), "--out", str(out)]
+        )
+        assert code == 2
+        assert f"{bad}: line 3: expected 19 fields, found 18" in capsys.readouterr().err
+        assert not out.exists()

@@ -23,6 +23,7 @@ from aufusion.evaluate import (
     report_from_sidecar,
     report_to_sidecar,
     run_fold,
+    score_clip,
     sweep_from_sidecar,
     train_fold_models,
     write_report_files,
@@ -135,6 +136,19 @@ class TestLoocv:
                 FAST_PIPELINE,
                 {c.participant_id: [] for c in clips},
             )
+
+
+class TestScoreClip:
+    def test_pools_the_clip_when_no_descriptors_are_given(self, small_corpus):
+        descriptors = pool_corpus(small_corpus, FAST_PIPELINE)
+        models = train_fold_models(small_corpus, "P002", FAST_PIPELINE, descriptors)
+        clip = small_corpus.by_id("P002")
+        fused, votes = score_clip(clip, models, FAST_PIPELINE)
+        assert (fused, votes) == score_clip(clip, models, FAST_PIPELINE, descriptors["P002"])
+        row = run_fold(small_corpus, "P002", FAST_PIPELINE, descriptors)
+        assert (row.ll_dep, row.ll_ndep) == (fused.ll_dep, fused.ll_ndep)
+        assert row.fused_score == fused.score
+        assert (row.n_segments, row.n_dep_votes) == (len(votes), sum(votes))
 
 
 class TestShortClips:

@@ -61,6 +61,13 @@ class TestFuse:
     def test_negative_omega_rejected(self):
         with pytest.raises(ValueError):
             FusionConfig(omega=-0.5)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                FusionConfig(omega=bad)
+            with pytest.raises(ValueError):
+                FusionConfig(tau=bad)
+            with pytest.raises(ValueError):
+                FusionConfig(tau=-bad)
 
     def test_pure_function(self):
         a = fuse(-3.0, -4.0, [1, 0, 1], raw(), n_frames=None)

@@ -194,6 +194,13 @@ class TestFitEm:
         with pytest.raises(ValueError):
             fit_em(np.zeros((3, 2)), EmConfig(n_components=4))
 
+    @pytest.mark.parametrize(
+        "field", ["n_components", "max_iters", "tol", "variance_floor", "n_init"]
+    )
+    def test_nan_setting_rejected(self, field):
+        with pytest.raises(ValueError):
+            EmConfig(**{field: math.nan})
+
 
 class TestScorePair:
     def _clip(self, frames):

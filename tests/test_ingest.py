@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,9 @@ class TestSynthCorpus:
     def test_too_few_frames_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(n_participants=4, frames_per_clip=250)
+        for field in ("frames_per_clip", "class_separation", "noise_std"):
+            with pytest.raises(ValueError):
+                SynthConfig(n_participants=4, **{field: float("nan")})
 
 
 class TestCorpusRoundTrip:
@@ -206,3 +210,16 @@ class TestCorpusRoundTrip:
         for ca, cb in zip(corpus.clips, loaded.clips):
             np.testing.assert_array_equal(ca.frames, cb.frames)
             assert ca.label == cb.label
+
+    def test_parse_error_names_the_file(self, tmp_path):
+        corpus = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=9))
+        write_corpus(corpus, tmp_path)
+        clip = tmp_path / "clips" / "P002.csv"
+        lines = clip.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[1] = "inf"
+        lines[4] = ",".join(cells)
+        clip.write_text("\n".join(lines) + "\n")
+        where = re.escape(str(clip))
+        with pytest.raises(ParseError, match=f"^{where}: line 5, column 'AU01_r': 'inf'"):
+            read_corpus(tmp_path)

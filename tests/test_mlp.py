@@ -58,6 +58,13 @@ class TestTraining:
         [prob] = predict_probs(model, x[0])
         assert prob == pytest.approx(12 / 40, abs=0.02)
 
+    @pytest.mark.parametrize(
+        "field", ["hidden1", "hidden2", "dropout", "learning_rate", "epochs", "batch_size"]
+    )
+    def test_nan_setting_rejected(self, field):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: float("nan")})
+
     def test_single_class_rejected(self):
         x, _ = two_clusters(n_per=5)
         with pytest.raises(SingleClassData):

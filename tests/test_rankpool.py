@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,11 @@ class TestPoolClip:
 
 
 class TestSolver:
+    @pytest.mark.parametrize("field", ["margin", "reg_c", "max_epochs", "step_size"])
+    def test_nan_setting_rejected(self, field):
+        with pytest.raises(ValueError):
+            RankPoolConfig(**{field: float("nan")})
+
     def test_objective_non_increasing_on_random_segments(self):
         rng = np.random.default_rng(99)
         for _ in range(50):
@@ -216,6 +223,29 @@ class TestDescriptorDump:
         for a, b in zip(descs, loaded):
             assert (a.source_id, a.start_index) == (b.source_id, b.start_index)
             np.testing.assert_array_equal(a.d, b.d)
+
+    @pytest.mark.parametrize(
+        "line_no, edit, message",
+        [
+            (1, lambda line: line.replace("d16", "d17"), "expected the header"),
+            (3, lambda line: line.rsplit("\t", 1)[0], "expected 19 fields, found 18"),
+            (2, lambda line: line + "\t0.5", "expected 19 fields, found 20"),
+            (3, lambda line: line.rsplit("\t", 1)[0] + "\tnan", "must be finite"),
+            (2, lambda line: line.rsplit("\t", 1)[0] + "\tx", "could not convert"),
+            (3, lambda line: "\t".join(["P001", "?"] + line.split("\t")[2:]), "invalid literal"),
+        ],
+        ids=["header", "missing-weight", "extra-weight", "nan", "text", "start-index"],
+    )
+    def test_bad_input_names_file_and_line(self, tmp_path, line_no, edit, message):
+        clip = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=13)).clips[0]
+        path = tmp_path / "descriptors.tsv"
+        write_descriptors(pool_clip(clip, window=150, stride=150, config=CFG), path)
+        lines = path.read_text().splitlines()
+        lines[line_no - 1] = edit(lines[line_no - 1])
+        path.write_text("\n".join(lines) + "\n")
+        where = f"^{re.escape(str(path))}: line {line_no}: "
+        with pytest.raises(ValueError, match=where + f".*{message}"):
+            read_descriptors(path)
 
     def test_descriptor_requires_finite(self):
         with pytest.raises(ValueError):
