@@ -358,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_parser() -> argparse.ArgumentParser:
     """The ``--config`` flag every subcommand inherits."""
-    parser = argparse.ArgumentParser(prog="aufusion", add_help=False)
+    # No abbreviations: a prefix such as ``--co`` may be ambiguous in the
+    # subcommand, and must not be read as ``--config`` here.
+    parser = argparse.ArgumentParser(prog="aufusion", add_help=False, allow_abbrev=False)
     parser.add_argument("--config", metavar="FILE", help="JSON file of flag values; flags win")
     return parser
 

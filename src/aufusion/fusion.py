@@ -151,6 +151,9 @@ def sweep_omega(
             refuse_record(record, base.omega, base)
         except ValueError as exc:
             raise type(exc)(f"{where}: {exc}") from None
+    # Every accuracy is one of these n + 1 values; the table shares them
+    # rather than holding one float object per omega.
+    fractions = [correct / len(records) for correct in range(len(records) + 1)]
     table = []
     for omega in omegas:
         correct = 0
@@ -160,5 +163,5 @@ def sweep_omega(
                 label = Label(label)
             if refuse_record(record, omega, base).decision == label:
                 correct += 1
-        table.append((float(omega), correct / len(records)))
+        table.append((float(omega), fractions[correct]))
     return table

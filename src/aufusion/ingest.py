@@ -233,6 +233,8 @@ def read_clip(path: str | Path, participant_id: str, label: Label | None = None)
             return parse_au_csv(fh, participant_id, label)
         except (MissingColumn, ExtraColumn, ParseError, EmptyClip) as exc:
             raise type(exc)(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def emit_au_csv(clip: AUClip) -> str:

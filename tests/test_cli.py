@@ -229,6 +229,15 @@ class TestConfigFile:
         assert main(["synth", f"--config={config}", "--out", str(out)]) == 0
         assert len(read_corpus(out)) == 4
 
+    def test_ambiguous_prefix_is_not_read_as_config(self, tmp_path, capsys):
+        argv = ["fit-gmm", "--corpus", "c", "--out", str(tmp_path / "m"), "--co", "4"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "ambiguous option: --co" in err
+        assert "config file not found" not in err
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"wat": 1}))
@@ -385,6 +394,19 @@ class TestInputErrorsNameTheFile:
         )
         assert code == 2
         assert f"{clip}: line 3, column 'AU12_r'" in capsys.readouterr().err
+
+    def test_scored_clip_not_utf8(self, workspace, tmp_path, capsys):
+        _, corpus, models, _, mlp_path = workspace
+        clip = tmp_path / "P001.csv"
+        clip.write_bytes(b"\xff\xfe" + (corpus / "clips" / "P001.csv").read_bytes())
+        code = main(
+            ["score", "--clip", str(clip),
+             "--gmm-dep", str(models / "gmm-depressed.json"),
+             "--gmm-ndep", str(models / "gmm-nondepressed.json"),
+             "--mlp", str(mlp_path)]
+        )
+        assert code == 2
+        assert f"error: {clip}: not UTF-8 text" in capsys.readouterr().err
 
     def test_descriptor_row_with_a_missing_weight(self, workspace, tmp_path, capsys):
         _, corpus, _, descs, _ = workspace

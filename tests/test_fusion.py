@@ -233,4 +233,7 @@ class TestCountFusionMatchesVoteLists:
                     }
                 )
             omegas = [0.0, 1e6] + [rng.uniform(0.0, 30.0) for _ in range(30)]
-            assert sweep_omega(records, omegas, base) == reference_sweep(records, omegas, base)
+            table = sweep_omega(records, omegas, base)
+            assert table == reference_sweep(records, omegas, base)
+            # The accuracies share the n + 1 possible float objects.
+            assert len({id(accuracy) for _, accuracy in table}) <= len(records) + 1

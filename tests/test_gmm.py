@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from aufusion import gmm
 from aufusion.gmm import (
     DegenerateData,
     EmConfig,
@@ -13,11 +14,12 @@ from aufusion.gmm import (
     fit_em,
     likelihood_ratio_decision,
     load_gmm,
+    log_density,
     log_likelihood,
     save_gmm,
     score_pair,
 )
-from aufusion.ingest import AU_COUNT, AUClip, Label
+from aufusion.ingest import AU_COUNT, AUClip, Label, SynthConfig, synth_corpus
 
 
 def random_model(rng, k, dim):
@@ -39,6 +41,73 @@ def brute_force_density(model, x):
             comp *= math.exp(-((xi - mu) ** 2) / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
         total += w * comp
     return total
+
+
+def extended_log_density(model, x):
+    """Log mixture density at one point, evaluated at 50 decimal digits."""
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for w, mus, vs in zip(model.weights, model.means, model.variances):
+            term = mpmath.mpf(float(w))
+            for xi, mu, v in zip(x, mus, vs):
+                term *= mpmath.exp(
+                    -((mpmath.mpf(float(xi)) - float(mu)) ** 2) / (2 * float(v))
+                ) / mpmath.sqrt(2 * mpmath.pi * float(v))
+            total += term
+        return float(mpmath.log(total))
+
+
+def reference_em(frames, config):
+    """EM on the expanded form ``x^2/var - 2*x*mu/var + mu^2/var``, as fitted
+    before the centered kernel; each restart's ``(weights, means,
+    variances)`` and log-likelihood trace."""
+    m, dim = frames.shape
+    k = config.n_components
+    floor = config.variance_floor
+
+    def evaluate(weights, means, variances):
+        inv_var = 1.0 / variances
+        const = (
+            np.log(weights)
+            - 0.5 * (dim * math.log(2.0 * math.pi) + np.log(variances).sum(axis=1))
+            - 0.5 * np.einsum("nd,nd,nd->n", means, means, inv_var)
+        )
+        joint = const - (frames**2 @ (0.5 * inv_var).T - frames @ (means * inv_var).T)
+        top = joint.max(axis=1, keepdims=True)
+        row_ll = (top + np.log(np.exp(joint - top).sum(axis=1, keepdims=True))).ravel()
+        return float(row_ll.sum()), np.exp(joint - row_ll[:, None])
+
+    runs = []
+    for run_index in range(config.n_init):
+        rng = np.random.default_rng([config.seed, run_index])
+        weights = np.full(k, 1.0 / k)
+        means = gmm._kmeanspp_means(frames, k, rng)
+        variances = np.tile(np.maximum(frames.var(axis=0), floor), (k, 1))
+        ll, resp = evaluate(weights, means, variances)
+        trace = [ll]
+        for _ in range(config.max_iters):
+            nk = resp.sum(axis=0)
+            alive = nk > 0
+            means, variances = means.copy(), variances.copy()
+            means[alive] = (resp.T[alive] @ frames) / nk[alive, None]
+            second = (resp.T[alive] @ frames**2) / nk[alive, None]
+            variances[alive] = np.maximum(second - means[alive] ** 2, floor)
+            weights = np.where(alive, nk / m, np.finfo(np.float64).tiny)
+            weights = weights / weights.sum()
+            new_ll, resp = evaluate(weights, means, variances)
+            trace.append(new_ll)
+            converged = new_ll - ll < config.tol * abs(ll)
+            ll = new_ll
+            if converged:
+                break
+        runs.append(((weights, means, variances), trace))
+    return runs
+
+
+def assert_close(actual, expected, rel):
+    """Elementwise within ``rel`` of the largest magnitude in ``expected``."""
+    expected = np.asarray(expected)
+    np.testing.assert_allclose(actual, expected, rtol=rel, atol=rel * np.abs(expected).max())
 
 
 class TestDensity:
@@ -75,6 +144,21 @@ class TestDensity:
         model = random_model(rng, k=3, dim=1)
         total, _ = quad(lambda x: density(model, np.array([x])), -20.0, 20.0, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_far_offset_small_variance_matches_extended_precision(self):
+        # Inputs sit 1e4 from the origin with variance 1e-4: an uncentered
+        # expansion of (x - mu)^2 / var loses about 1e-3 here.
+        rng = np.random.default_rng(11)
+        weights = rng.uniform(0.2, 1.0, 3)
+        model = GmmModel(
+            weights / weights.sum(),
+            1e4 + rng.normal(0.0, 0.01, (3, AU_COUNT)),
+            np.full((3, AU_COUNT), 1e-4),
+        )
+        for _ in range(10):
+            x = 1e4 + rng.normal(0.0, 0.01, AU_COUNT)
+            expected = extended_log_density(model, x)
+            assert log_density(model, x) == pytest.approx(expected, rel=1e-10)
 
 
 class TestLogLikelihood:
@@ -121,6 +205,13 @@ class TestLogLikelihood:
                 product *= comp_sum
             expected = float(mpmath.log(product))
         assert log_likelihood(model, frames) == pytest.approx(expected, rel=1e-8)
+
+    def test_chunks_add_up_to_per_frame_densities(self):
+        rng = np.random.default_rng(11)
+        model = random_model(rng, k=3, dim=4)
+        frames = rng.normal(size=(2 * gmm._CHUNK + 7, 4))
+        per_frame = math.fsum(log_density(model, x) for x in frames)
+        assert log_likelihood(model, frames) == pytest.approx(per_frame, rel=1e-12)
 
     def test_no_underflow_on_long_far_clips(self):
         model = GmmModel(np.ones(1), np.zeros((1, 3)), np.full((1, 3), 0.1))
@@ -194,12 +285,65 @@ class TestFitEm:
         with pytest.raises(ValueError):
             fit_em(np.zeros((3, 2)), EmConfig(n_components=4))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_parameters_raise(self):
+        # Finite frames whose variance overflows float64.
+        frames = np.random.default_rng(26).normal(0.0, 1e160, (50, 3))
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            fit_em(frames, EmConfig(n_components=1, n_init=1))
+
     @pytest.mark.parametrize(
         "field", ["n_components", "max_iters", "tol", "variance_floor", "n_init"]
     )
     def test_nan_setting_rejected(self, field):
         with pytest.raises(ValueError):
             EmConfig(**{field: math.nan})
+
+
+class TestCenteredEm:
+    """``fit_em`` against ``reference_em``: same iterations, same parameters."""
+
+    def check(self, frames, config):
+        model, traces = fit_em(frames, config, return_trace=True)
+        runs = reference_em(frames, config)
+        assert [len(t) for t in traces] == [len(t) for _, t in runs]
+        for trace, (_, expected) in zip(traces, runs):
+            assert_close(trace, expected, rel=1e-9)
+        # Restarts that reach one optimum can tie to the last bit, so the
+        # winner is compared with the same restart of the reference.
+        best = int(np.argmax([trace[-1] for trace in traces]))
+        for got, expected in zip((model.weights, model.means, model.variances), runs[best][0]):
+            assert_close(got, expected, rel=1e-9)
+        return model
+
+    def test_benchmark_size(self):
+        corpus = synth_corpus(SynthConfig(n_participants=6, frames_per_clip=500, seed=1))
+        frames = np.vstack([c.frames for c in corpus.clips if c.label is Label.DEPRESSED])
+        self.check(frames[:1000], EmConfig())
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_component_counts(self, k):
+        rng = np.random.default_rng(27)
+        frames = rng.normal(size=(600, 5)) + rng.choice([0.0, 4.0], size=(600, 1))
+        self.check(frames, EmConfig(n_components=k, seed=5, n_init=2))
+
+    def test_block_is_c_ordered(self):
+        # On a frame-major block OpenBLAS runs each chunk's matmul
+        # multi-threaded, which stalls parallel leave-one-out workers.
+        frames = np.random.default_rng(29).normal(size=(700, 5))
+        assert gmm._centered_block(frames, frames.mean(axis=0)).flags.c_contiguous
+
+    def test_dead_component_keeps_its_parameters(self, monkeypatch):
+        # One component starts so far from every frame that it never takes
+        # any responsibility mass.
+        rng = np.random.default_rng(28)
+        frames = rng.normal(size=(300, 4))
+        start = np.vstack([frames[:3], np.full((1, 4), 1e3)])
+        monkeypatch.setattr(gmm, "_kmeanspp_means", lambda frames, k, rng: start.copy())
+        model = self.check(frames, EmConfig(n_components=4, n_init=1))
+        assert model.weights[3] < 1e-300
+        np.testing.assert_allclose(model.means[3], start[3], rtol=1e-15)
+        np.testing.assert_allclose(model.variances[3], frames.var(axis=0), rtol=1e-15)
 
 
 class TestScorePair:
@@ -247,3 +391,5 @@ class TestPersistence:
             GmmModel(np.array([0.6, 0.6]), np.zeros((2, 2)), np.ones((2, 2)))
         with pytest.raises(ValueError):
             GmmModel(np.array([1.0]), np.zeros((1, 2)), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            GmmModel(np.array([1.0]), np.full((1, 2), np.nan), np.ones((1, 2)))
