@@ -16,6 +16,6 @@ __version__ = "0.1.0"
 
 from .ingest import AUClip, Corpus, Label, Segment, SynthConfig  # noqa: F401
 from .gmm import EmConfig, GmmModel  # noqa: F401
-from .rankpool import DynamicDescriptor, RankPoolConfig  # noqa: F401
+from .rankpool import RankPoolConfig  # noqa: F401
 from .mlp import MlpModel, TrainConfig  # noqa: F401
 from .fusion import FusionConfig, FusionResult  # noqa: F401

@@ -38,7 +38,9 @@ from .evaluate import (
     write_report_files,
 )
 from .gmm import likelihood_ratio_decision, load_gmm, save_gmm
-from .ingest import Corpus, Label, SynthConfig, read_clip, read_corpus, synth_corpus, write_corpus
+from .ingest import (
+    Label, SynthConfig, read_clip, read_corpus, read_json, synth_corpus, write_corpus
+)
 from .mlp import load_mlp, save_mlp, train_mlp
 from .rankpool import read_descriptors, write_descriptors
 
@@ -169,15 +171,6 @@ def _require_file(path: str | None, what: str) -> Path:
     return p
 
 
-def _load_corpus(path: str | None) -> Corpus:
-    if path is None:
-        raise ValidationError("corpus directory is required")
-    p = Path(path)
-    if not (p / "manifest.jsonl").is_file():
-        raise ValidationError(f"corpus path missing manifest.jsonl: {p}")
-    return read_corpus(p)
-
-
 def cmd_synth(args) -> int:
     corpus = synth_corpus(SynthConfig(**_values_from_args(args, _SYNTH_FLAGS)[""]))
     out = Path(args.out)
@@ -188,7 +181,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit_gmm(args) -> int:
-    corpus = _load_corpus(args.corpus)
+    corpus = read_corpus(args.corpus)
     corpus.require_labels()
     pipeline = _pipeline_from_args(args)
     out = Path(args.out)
@@ -205,23 +198,24 @@ def cmd_fit_gmm(args) -> int:
 
 
 def cmd_pool(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    pooled = pool_corpus(corpus, _pipeline_from_args(args))
-    descriptors = [desc for clip_descs in pooled.values() for desc in clip_descs]
+    corpus = read_corpus(args.corpus)
+    pipeline = _pipeline_from_args(args)
+    descriptors = pool_corpus(corpus, pipeline)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_descriptors(descriptors, out)
+    write_descriptors(descriptors, pipeline.stride, out)
     _write_provenance(out, "pool", args)
-    print(f"wrote {len(descriptors)} descriptors to {out}")
+    print(f"wrote {sum(map(len, descriptors.values()))} descriptors to {out}")
     return 0
 
 
 def cmd_train_mlp(args) -> int:
-    corpus = _load_corpus(args.corpus)
+    corpus = read_corpus(args.corpus)
     corpus.require_labels()
-    by_source: dict[str, list] = {}
-    for desc in read_descriptors(_require_file(args.descriptors, "descriptor file")):
-        by_source.setdefault(desc.source_id, []).append(desc)
+    path = _require_file(args.descriptors, "descriptor file")
+    by_source = read_descriptors(path)
+    if not by_source:
+        raise ValidationError(f"{path}: holds no descriptor rows")
     unknown = sorted(set(by_source) - {c.participant_id for c in corpus.clips})
     if unknown:
         raise ValidationError(f"descriptor sources {unknown} not in corpus")
@@ -256,7 +250,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_loocv(args) -> int:
-    corpus = _load_corpus(args.corpus)
+    corpus = read_corpus(args.corpus)
     pipeline = _pipeline_from_args(args)
     report = loocv(corpus, pipeline, jobs=args.jobs)
     out = Path(args.out)
@@ -371,9 +365,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):
     if path is None:
         return
     config_path = _require_file(path, "config file")
-    values = json.loads(config_path.read_text(encoding="utf-8"))
-    if not isinstance(values, dict):
-        raise ValidationError("config file must hold a JSON object")
+    values = read_json(config_path)
     subparser = parser._subparsers._group_actions[0].choices.get(argv[0])  # noqa: SLF001
     if subparser is None:
         raise ValidationError("--config requires a subcommand")
@@ -392,14 +384,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-    except ValidationError as exc:
+    except ValueError as exc:  # ValidationError or an unreadable config file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         return args.func(args)
-    except ValueError as exc:
-        # Bad numeric settings, schema violations and ValidationError are
-        # configuration problems, not crashes.
+    except (ValueError, FileNotFoundError) as exc:
+        # Bad numeric settings, schema violations, missing inputs and
+        # ValidationError are configuration problems, not crashes.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

@@ -33,9 +33,10 @@ from .ingest import (
     Label,
     check_segmentable,
     pooled_class_frames,
+    read_json,
 )
 from .mlp import MlpModel, TrainConfig, mlp_json, predict_probs, train_mlp
-from .rankpool import DynamicDescriptor, RankPoolConfig, pool_clip
+from .rankpool import RankPoolConfig, pool_clip
 
 REPORT_VERSION = 1
 
@@ -147,11 +148,10 @@ def majority_vote(votes) -> Label:
     return Label.DEPRESSED if 2 * n_dep > len(votes) else Label.NONDEPRESSED
 
 
-def segment_votes(model: MlpModel, descriptors: list[DynamicDescriptor]) -> list[int]:
-    """One vote per segment: 1 only when the depression probability strictly
-    exceeds 0.5."""
-    probs = predict_probs(model, np.array([desc.d for desc in descriptors]))
-    return [int(p > 0.5) for p in probs]
+def segment_votes(model: MlpModel, descriptors: np.ndarray) -> list[int]:
+    """One vote per descriptor row: 1 only when the depression probability
+    strictly exceeds 0.5."""
+    return [int(p > 0.5) for p in predict_probs(model, descriptors)]
 
 
 def fit_class_gmms(
@@ -170,23 +170,20 @@ def fit_class_gmms(
 
 
 def training_set(
-    clips: list[AUClip], descriptors: dict[str, list[DynamicDescriptor]]
+    clips: list[AUClip], descriptors: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The clips' window descriptors as rows, in clip order, with label 1
-    for depressed and 0 for non-depressed."""
-    xs, ys = [], []
-    for clip in clips:
-        for desc in descriptors[clip.participant_id]:
-            xs.append(desc.d)
-            ys.append(1 if clip.label is Label.DEPRESSED else 0)
-    return np.array(xs), np.array(ys)
+    """The clips' descriptor matrices stacked in clip order, with label 1
+    for depressed and 0 for non-depressed on every row."""
+    matrices = [descriptors[clip.participant_id] for clip in clips]
+    labels = [1 if clip.label is Label.DEPRESSED else 0 for clip in clips]
+    return np.vstack(matrices), np.repeat(labels, [len(m) for m in matrices])
 
 
 def train_fold_models(
     corpus: Corpus,
     held_out_id: str,
     pipeline: PipelineConfig,
-    descriptors: dict[str, list[DynamicDescriptor]],
+    descriptors: dict[str, np.ndarray],
 ) -> tuple[GmmModel, GmmModel, MlpModel]:
     """Fit both mixtures and the vote classifier on everything except the
     held-out participant. Never touches the held-out clip's contents."""
@@ -207,7 +204,7 @@ def score_clip(
     clip: AUClip,
     models: tuple[GmmModel, GmmModel, MlpModel],
     pipeline: PipelineConfig,
-    descriptors: list[DynamicDescriptor] | None = None,
+    descriptors: np.ndarray | None = None,
 ) -> tuple[FusionResult, list[int]]:
     """Score one clip with the (depressed, non-depressed, vote) models and
     fuse; returns the fused result and the segment votes. The clip is pooled
@@ -224,7 +221,7 @@ def run_fold(
     corpus: Corpus,
     held_out_id: str,
     pipeline: PipelineConfig,
-    descriptors: dict[str, list[DynamicDescriptor]] | None = None,
+    descriptors: dict[str, np.ndarray] | None = None,
 ) -> FoldRow:
     """Train on all other clips and score the held-out one."""
     if descriptors is None:
@@ -286,7 +283,7 @@ def _fold_task(
     participant_id: str,
     corpus: Corpus,
     pipeline: PipelineConfig,
-    descriptors: dict[str, list[DynamicDescriptor]],
+    descriptors: dict[str, np.ndarray],
 ) -> FoldRow:
     try:
         return run_fold(corpus, participant_id, pipeline, descriptors)
@@ -296,7 +293,7 @@ def _fold_task(
 
 def pool_corpus(
     corpus: Corpus, pipeline: PipelineConfig, jobs: int = 1
-) -> dict[str, list[DynamicDescriptor]]:
+) -> dict[str, np.ndarray]:
     """Descriptors for every clip, keyed by participant id. Every clip's
     length is checked before the first one is pooled."""
     check_segmentable(corpus.clips, pipeline.window, pipeline.stride)
@@ -413,9 +410,9 @@ def report_from_sidecar(payload: dict) -> LoocvReport:
 
 
 def load_sidecar(path: str | Path) -> dict:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path, ("seed", "configs", "rows"))
     if payload.get("version") != REPORT_VERSION:
-        raise ValueError(f"unsupported report version: {payload.get('version')}")
+        raise ValueError(f"{path}: unsupported report version: {payload.get('version')}")
     return payload
 
 

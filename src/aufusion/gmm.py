@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ingest import AUClip, Label
+from .ingest import AUClip, Label, read_json
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -347,9 +347,9 @@ def save_gmm(model: GmmModel, path: str | Path, config: EmConfig | None = None):
 
 
 def load_gmm(path: str | Path) -> tuple[GmmModel, EmConfig | None]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path, ("weights", "means", "variances", "em_config"))
     if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format: {payload.get('format_version')}")
+        raise ValueError(f"{path}: unsupported model format: {payload.get('format_version')}")
     model = GmmModel(
         np.array(payload["weights"]),
         np.array(payload["means"]),

@@ -339,21 +339,48 @@ def write_corpus(corpus: Corpus, directory: str | Path) -> Path:
 
 
 def read_corpus(directory: str | Path) -> Corpus:
-    """Load a corpus written by :func:`write_corpus`."""
+    """Load a corpus written by :func:`write_corpus`; a bad manifest record
+    or a missing clip file is reported with the manifest and its line."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
     clips = []
     with open(manifest_path, encoding="utf-8") as manifest:
-        for line in manifest:
-            line = line.strip()
-            if not line:
+        for line_no, line in enumerate(manifest, start=1):
+            if not line.strip():
                 continue
-            record = json.loads(line)
-            label = Label(record["label"]) if record["label"] is not None else None
-            clips.append(read_clip(directory / record["path"], record["participant_id"], label))
+            at = f"{manifest_path}: line {line_no}"
+            try:
+                record = json.loads(line)
+                label = Label(record["label"]) if record["label"] is not None else None
+                clip_path = directory / record["path"]
+                if not clip_path.is_file():
+                    raise ValueError(f"clip file not found: {clip_path}")
+                participant_id = record["participant_id"]
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{at}: {exc.msg} at column {exc.colno}") from None
+            except KeyError as exc:
+                raise ValueError(f"{at}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{at}: {exc}") from None
+            clips.append(read_clip(clip_path, participant_id, label))
     return Corpus(clips)
+
+
+def read_json(path: str | Path, keys: Sequence[str] = ()) -> dict:
+    """The JSON object in ``path``; text that is not a JSON object, or one
+    without every key in ``keys``, raises a ValueError naming the file."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: missing keys {missing}")
+    return payload
 
 
 def pooled_class_frames(clips: Sequence[AUClip]) -> dict[Label, np.ndarray]:

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .ingest import read_json
+
 FORMAT_VERSION = 1
 
 _PROB_EPS = 1e-15  # keep predicted probabilities strictly inside (0, 1)
@@ -222,9 +224,9 @@ def save_mlp(model: MlpModel, path: str | Path, config: TrainConfig | None = Non
 
 
 def load_mlp(path: str | Path) -> tuple[MlpModel, TrainConfig | None]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path, ("params", "input_mean", "input_std", "train_config"))
     if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format: {payload.get('format_version')}")
+        raise ValueError(f"{path}: unsupported model format: {payload.get('format_version')}")
     arrays = {k: np.array(v) for k, v in payload["params"].items()}
     model = MlpModel(
         **arrays,

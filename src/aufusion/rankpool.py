@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import AU_COUNT, AUClip, Segment, segment_clip
+from .ingest import AU_COUNT, AUClip, Segment, _freeze, segment_clip
 
 
 class SegmentTooShort(ValueError):
@@ -57,24 +57,6 @@ class RankPoolConfig:
             raise ValueError("max_epochs must be >= 1")
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class DynamicDescriptor:
-    """Learned ranking-kernel weights for one segment."""
-
-    d: np.ndarray  # (17,)
-    source_id: str
-    start_index: int
-
-    def __post_init__(self):
-        d = np.array(self.d, dtype=np.float64)
-        if d.ndim != 1:
-            raise ValueError("descriptor weights must be a vector")
-        if not np.isfinite(d).all():
-            raise ValueError("descriptor weights must be finite")
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
 
 
 def smooth_frames(frames: np.ndarray) -> np.ndarray:
@@ -143,71 +125,65 @@ def solve_rank_kernel(
     return d, trace
 
 
-def rank_pool(segment: Segment, config: RankPoolConfig) -> DynamicDescriptor:
-    """Learn the segment's ranking kernel and wrap it as a descriptor."""
-    if segment.length < 2:
-        raise SegmentTooShort(
-            f"segment at {segment.start_index} of {segment.source_id!r} has "
-            f"{segment.length} frame(s)"
-        )
+def rank_pool(segment: Segment, config: RankPoolConfig) -> np.ndarray:
+    """The segment's ranking kernel ``d``: its 17-dimensional descriptor."""
     frames = smooth_frames(segment.frames) if config.smooth else segment.frames
     d, _ = solve_rank_kernel(frames, config)
-    return DynamicDescriptor(d=d, source_id=segment.source_id, start_index=segment.start_index)
+    return d
 
 
-def order_agreement(
-    d: DynamicDescriptor | np.ndarray, segment: Segment, smooth: bool = True
-) -> float:
+def order_agreement(d: np.ndarray, segment: Segment, smooth: bool = True) -> float:
     """Fraction of ordered frame pairs (a > b) scored in the right order.
 
     Scores are taken over the smoothed frames; only strict inequalities
     count, so the zero kernel scores 0.
     """
-    weights = d.d if isinstance(d, DynamicDescriptor) else np.asarray(d, dtype=np.float64)
     frames = smooth_frames(segment.frames) if smooth else segment.frames
     n = frames.shape[0]
     if n < 2:
         raise SegmentTooShort("need at least two frames")
-    scores = frames @ weights
+    scores = frames @ np.asarray(d, dtype=np.float64)
     ia, ib = _pair_indices(n)
     return float((scores[ia] - scores[ib] > 0).sum()) / (n * (n - 1) / 2)
 
 
-def pool_clip(
-    clip: AUClip, window: int, stride: int, config: RankPoolConfig
-) -> list[DynamicDescriptor]:
-    """One descriptor per window, in segment order."""
-    return [rank_pool(seg, config) for seg in segment_clip(clip, window, stride)]
+def pool_clip(clip: AUClip, window: int, stride: int, config: RankPoolConfig) -> np.ndarray:
+    """The clip's descriptors as a read-only (windows, 17) matrix, one row
+    per window in segment order."""
+    return _freeze([rank_pool(seg, config) for seg in segment_clip(clip, window, stride)])
 
 
 _DESCRIPTOR_HEADER = "source_id\tstart_index\t" + "\t".join(f"d{i:02d}" for i in range(AU_COUNT))
 
 
-def write_descriptors(descriptors: list[DynamicDescriptor], path: str | Path):
-    """Tab-separated dump: source_id, start_index, 17 weights per row."""
+def write_descriptors(descriptors: dict[str, np.ndarray], stride: int, path: str | Path):
+    """Tab-separated dump: source_id, start_index, 17 weights per row. Row i
+    of a clip's matrix starts at frame ``i * stride``."""
     lines = [_DESCRIPTOR_HEADER]
-    for desc in descriptors:
-        lines.append(
-            f"{desc.source_id}\t{desc.start_index}\t"
-            + "\t".join(repr(float(x)) for x in desc.d)
-        )
+    for source_id, matrix in descriptors.items():
+        for i, d in enumerate(matrix):
+            lines.append(f"{source_id}\t{i * stride}\t" + "\t".join(repr(float(x)) for x in d))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_descriptors(path: str | Path) -> list[DynamicDescriptor]:
-    """Read a ``write_descriptors`` dump; a bad header, field count or weight
-    is reported with the file and line."""
+def read_descriptors(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a ``write_descriptors`` dump into one read-only matrix per source,
+    in file order; a bad header, field count, start index or weight is
+    reported with the file and line."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not lines or lines[0] != _DESCRIPTOR_HEADER:
         raise ValueError(f"{path}: line 1: expected the header {_DESCRIPTOR_HEADER!r}")
-    out = []
+    rows: dict[str, list[np.ndarray]] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
         try:
             if len(parts) != 2 + AU_COUNT:
                 raise ValueError(f"expected {2 + AU_COUNT} fields, found {len(parts)}")
+            int(parts[1])  # the start index must be an integer
             d = np.array([float(x) for x in parts[2:]])
-            out.append(DynamicDescriptor(d=d, source_id=parts[0], start_index=int(parts[1])))
+            if not np.isfinite(d).all():
+                raise ValueError("descriptor weights must be finite")
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from None
-    return out
+        rows.setdefault(parts[0], []).append(d)
+    return {source_id: _freeze(matrix) for source_id, matrix in rows.items()}

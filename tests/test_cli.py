@@ -99,6 +99,13 @@ class TestLoocvCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_corpus_path_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("")
+        code = main(["pool", "--corpus", str(corpus), "--out", str(tmp_path / "d.tsv")])
+        assert code == 2
+        assert f"no manifest.jsonl in {corpus}" in capsys.readouterr().err
+
     def test_omega_zero_combined_equals_gmm_column(self, tmp_path):
         corpus = synth(tmp_path, "c0", seed=5)
         out = tmp_path / "run0"
@@ -244,6 +251,13 @@ class TestConfigFile:
         code = main(["synth", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_json_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{n: 4}")
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"error: {config}: Expecting property name" in capsys.readouterr().err
 
 
 SUBCOMMANDS = ["synth", "fit-gmm", "pool", "train-mlp", "score", "loocv", "sweep", "report"]
@@ -421,3 +435,40 @@ class TestInputErrorsNameTheFile:
         assert code == 2
         assert f"{bad}: line 3: expected 19 fields, found 18" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_descriptor_file_without_rows(self, workspace, tmp_path, capsys):
+        _, corpus, _, descs, _ = workspace
+        bad = tmp_path / "descriptors.tsv"
+        bad.write_text(descs.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "mlp.json"
+        code = main(
+            ["train-mlp", "--corpus", str(corpus), "--descriptors", str(bad), "--out", str(out)]
+        )
+        assert code == 2
+        assert f"error: {bad}: holds no descriptor rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_record_with_a_bad_label(self, tmp_path, capsys):
+        corpus = synth(tmp_path)
+        manifest = corpus / "manifest.jsonl"
+        manifest.write_text(manifest.read_text().replace('"NonDepressed"', '"Sad"', 1))
+        out = tmp_path / "descriptors.tsv"
+        code = main(["pool", "--corpus", str(corpus), "--out", str(out)])
+        assert code == 2
+        assert f"{manifest}: line 2: 'Sad' is not a valid Label" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_without_weights(self, workspace, tmp_path, capsys):
+        _, corpus, models, _, mlp_path = workspace
+        payload = json.loads((models / "gmm-depressed.json").read_text())
+        del payload["weights"]
+        bad = tmp_path / "gmm-depressed.json"
+        bad.write_text(json.dumps(payload))
+        code = main(
+            ["score", "--clip", str(corpus / "clips" / "P001.csv"),
+             "--gmm-dep", str(bad),
+             "--gmm-ndep", str(models / "gmm-nondepressed.json"),
+             "--mlp", str(mlp_path)]
+        )
+        assert code == 2
+        assert f"error: {bad}: missing keys ['weights']" in capsys.readouterr().err

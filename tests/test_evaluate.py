@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from aufusion.evaluate import (
     fold_seed,
     hash_gmm,
     hash_mlp,
+    load_sidecar,
     loocv,
     majority_vote,
     pool_corpus,
@@ -28,9 +30,9 @@ from aufusion.evaluate import (
     train_fold_models,
     write_report_files,
 )
-from aufusion.gmm import EmConfig, GmmModel, save_gmm
+from aufusion.gmm import EmConfig, GmmModel, load_gmm, save_gmm
 from aufusion.ingest import AUClip, ClipTooShort, Corpus, Label, SynthConfig, synth_corpus
-from aufusion.mlp import TrainConfig, save_mlp, train_mlp
+from aufusion.mlp import TrainConfig, load_mlp, save_mlp, train_mlp
 
 from fixture_rows import REFERENCE_DECISIONS, reference_rows
 
@@ -296,3 +298,34 @@ class TestSweepIntegration:
         omega = payload["configs"]["fusion"]["omega"]
         [(_, acc)] = sweep_from_sidecar(payload, [omega])
         assert acc == accuracy(small_report.rows, "combined")
+
+
+class TestJsonArtifactErrorsNameTheFile:
+    # Each loader with a payload that lacks one of the keys it reads.
+    LOADERS = {
+        "gmm": (
+            load_gmm,
+            {"format_version": 1, "means": [], "variances": [], "em_config": None},
+            "['weights']",
+        ),
+        "mlp": (
+            load_mlp,
+            {"format_version": 1, "params": {}, "input_mean": [], "train_config": None},
+            "['input_std']",
+        ),
+        "sidecar": (load_sidecar, {"version": 1, "rows": []}, "['seed', 'configs']"),
+    }
+
+    @pytest.mark.parametrize("loader", ["gmm", "mlp", "sidecar"])
+    @pytest.mark.parametrize("defect", ["missing-key", "not-json", "not-object"])
+    def test_error_starts_with_the_path(self, tmp_path, loader, defect):
+        load, payload, missing = self.LOADERS[loader]
+        text, message = {
+            "missing-key": (json.dumps(payload), f"missing keys {missing}"),
+            "not-json": ("{", "Expecting property name enclosed in double quotes: line 1"),
+            "not-object": ("[1]", "expected a JSON object"),
+        }[defect]
+        path = tmp_path / "artifact.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load(path)

@@ -1,4 +1,5 @@
 import io
+import json
 import re
 
 import numpy as np
@@ -222,4 +223,24 @@ class TestCorpusRoundTrip:
         clip.write_text("\n".join(lines) + "\n")
         where = re.escape(str(clip))
         with pytest.raises(ParseError, match=f"^{where}: line 5, column 'AU01_r': 'inf'"):
+            read_corpus(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rec: json.dumps({k: v for k, v in rec.items() if k != "label"}),
+             "missing key 'label'"),
+            (lambda rec: "{" + json.dumps(rec)[2:], "Expecting property name"),
+            (lambda rec: json.dumps({**rec, "label": "Sad"}), "'Sad' is not a valid Label"),
+            (lambda rec: json.dumps({**rec, "path": "clips/P404.csv"}), "clip file not found"),
+        ],
+        ids=["no-label", "bad-json", "bad-label", "no-clip-file"],
+    )
+    def test_bad_manifest_record_names_file_and_line(self, tmp_path, edit, message):
+        corpus = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=9))
+        manifest = write_corpus(corpus, tmp_path)
+        lines = manifest.read_text().splitlines()
+        lines[1] = edit(json.loads(lines[1]))
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: line 2: {message}"):
             read_corpus(tmp_path)

@@ -15,7 +15,6 @@ from aufusion.mlp import (
     save_mlp,
     train_mlp,
 )
-from aufusion.rankpool import DynamicDescriptor
 
 
 def two_clusters(n_per=40, gap=2.0, seed=1):
@@ -28,7 +27,7 @@ def two_clusters(n_per=40, gap=2.0, seed=1):
 
 
 def as_descriptors(*vectors):
-    return [DynamicDescriptor(v, "P001", 0) for v in vectors]
+    return np.array(vectors, dtype=np.float64)
 
 
 def zero_model(dim=AU_COUNT, h1=4, h2=3, bias=0.0):

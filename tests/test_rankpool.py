@@ -5,7 +5,6 @@ import pytest
 
 from aufusion.ingest import AU_COUNT, AUClip, Segment, SynthConfig, synth_corpus
 from aufusion.rankpool import (
-    DynamicDescriptor,
     RankPoolConfig,
     SegmentTooShort,
     _pair_indices,
@@ -94,17 +93,17 @@ def drifting_frames(n, seed):
 class TestRankPool:
     def test_single_ramp_dimension_dominates(self):
         seg = ramp_segment(dim=5)
-        desc = rank_pool(seg, CFG)
-        assert np.argmax(np.abs(desc.d)) == 5
-        assert desc.d[5] > 0
-        scores = smooth_frames(seg.frames) @ desc.d
+        d = rank_pool(seg, CFG)
+        assert np.argmax(np.abs(d)) == 5
+        assert d[5] > 0
+        scores = smooth_frames(seg.frames) @ d
         assert (np.diff(scores) > 0).all()
 
     def test_time_reversal_inverts_order(self):
         seg = ramp_segment(dim=2)
         reversed_seg = Segment("ramp", 0, seg.frames[::-1])
-        desc_rev = rank_pool(reversed_seg, CFG)
-        assert order_agreement(desc_rev, seg) == 0.0
+        d_rev = rank_pool(reversed_seg, CFG)
+        assert order_agreement(d_rev, seg) == 0.0
 
     def test_agreement_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(77)
@@ -117,10 +116,10 @@ class TestRankPool:
             + rng.normal(0.0, 0.05, (20, AU_COUNT))
         )
         seg = Segment("sep", 0, frames)
-        desc = rank_pool(seg, CFG)
+        d = rank_pool(seg, CFG)
         smoothed = smooth_frames(frames)
-        oracle = brute_force_agreement(desc.d, smoothed)
-        assert order_agreement(desc, seg) == pytest.approx(oracle)
+        oracle = brute_force_agreement(d, smoothed)
+        assert order_agreement(d, seg) == pytest.approx(oracle)
         assert oracle >= 0.99
 
     def test_too_short(self):
@@ -139,19 +138,19 @@ class TestOrderAgreement:
         # hinge is active the ordering must be perfect.
         seg = ramp_segment(d=10, rise=5.0)
         config = RankPoolConfig(reg_c=100.0, max_epochs=500)
-        desc = rank_pool(seg, config)
+        d = rank_pool(seg, config)
         smoothed = smooth_frames(seg.frames)
-        scores = smoothed @ desc.d
+        scores = smoothed @ d
         gaps = scores[:, None] - scores[None, :]
         lower = np.tril_indices(len(scores), k=-1)
         assert (config.margin - gaps[lower] <= 1e-9).all()  # all hinges inactive
-        assert order_agreement(desc, seg) == 1.0
+        assert order_agreement(d, seg) == 1.0
 
     def test_negated_kernel_flips_agreement(self):
         seg = ramp_segment()
-        desc = rank_pool(seg, CFG)
-        assert order_agreement(desc, seg) == 1.0
-        assert order_agreement(-desc.d, seg) == 0.0
+        d = rank_pool(seg, CFG)
+        assert order_agreement(d, seg) == 1.0
+        assert order_agreement(-d, seg) == 0.0
 
 
 class TestPoolClip:
@@ -162,21 +161,20 @@ class TestPoolClip:
     def test_descriptor_count_follows_segmentation(self):
         clip = self._clip(m=40)
         descs = pool_clip(clip, window=20, stride=20, config=CFG)
-        assert [d.start_index for d in descs] == [0, 20]
+        assert descs.shape == (2, AU_COUNT) and descs.dtype == np.float64
+        assert not descs.flags.writeable
 
     def test_shared_segments_give_identical_descriptors(self):
         clip = self._clip(m=60)
         full = pool_clip(clip, window=20, stride=20, config=CFG)
         sub = pool_clip(AUClip("c", clip.frames[:40]), window=20, stride=20, config=CFG)
-        for a, b in zip(sub, full[:2]):
-            np.testing.assert_array_equal(a.d, b.d)
+        np.testing.assert_array_equal(sub, full[:2])
 
     def test_deterministic(self):
         clip = self._clip(m=50, seed=3)
         a = pool_clip(clip, window=25, stride=25, config=CFG)
         b = pool_clip(clip, window=25, stride=25, config=CFG)
-        for da, db in zip(a, b):
-            np.testing.assert_array_equal(da.d, db.d)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSolver:
@@ -199,8 +197,8 @@ class TestSolver:
         for d in (10, 50, 150):
             direction = rng.normal(size=AU_COUNT)
             seg = Segment("m", 0, np.linspace(0.0, 3.0, d)[:, None] * direction)
-            desc = rank_pool(seg, CFG)
-            assert order_agreement(desc, seg) >= 0.99
+            kernel = rank_pool(seg, CFG)
+            assert order_agreement(kernel, seg) >= 0.99
 
     def test_scaling_frames_preserves_order_structure(self):
         seg = ramp_segment(d=15, dim=4)
@@ -213,16 +211,20 @@ class TestSolver:
 class TestDescriptorDump:
     def test_round_trip(self, tmp_path):
         corpus = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=13))
-        descs = []
-        for clip in corpus.clips:
-            descs.extend(pool_clip(clip, window=150, stride=150, config=CFG))
+        descs = {
+            clip.participant_id: pool_clip(clip, window=150, stride=100, config=CFG)
+            for clip in corpus.clips
+        }
         path = tmp_path / "descriptors.tsv"
-        write_descriptors(descs, path)
+        write_descriptors(descs, 100, path)
         loaded = read_descriptors(path)
-        assert len(loaded) == len(descs)
-        for a, b in zip(descs, loaded):
-            assert (a.source_id, a.start_index) == (b.source_id, b.start_index)
-            np.testing.assert_array_equal(a.d, b.d)
+        assert list(loaded) == list(descs) == ["P001", "P002"]
+        for source_id, matrix in descs.items():
+            assert matrix.shape == (2, AU_COUNT)
+            np.testing.assert_array_equal(loaded[source_id], matrix)
+            assert not loaded[source_id].flags.writeable
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split("\t")[:2] for row in rows[:2]] == [["P001", "0"], ["P001", "100"]]
 
     @pytest.mark.parametrize(
         "line_no, edit, message",
@@ -231,25 +233,23 @@ class TestDescriptorDump:
             (3, lambda line: line.rsplit("\t", 1)[0], "expected 19 fields, found 18"),
             (2, lambda line: line + "\t0.5", "expected 19 fields, found 20"),
             (3, lambda line: line.rsplit("\t", 1)[0] + "\tnan", "must be finite"),
+            (2, lambda line: line.rsplit("\t", 1)[0] + "\tinf", "must be finite"),
             (2, lambda line: line.rsplit("\t", 1)[0] + "\tx", "could not convert"),
             (3, lambda line: "\t".join(["P001", "?"] + line.split("\t")[2:]), "invalid literal"),
         ],
-        ids=["header", "missing-weight", "extra-weight", "nan", "text", "start-index"],
+        ids=["header", "missing-weight", "extra-weight", "nan", "inf", "text", "start-index"],
     )
     def test_bad_input_names_file_and_line(self, tmp_path, line_no, edit, message):
         clip = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=13)).clips[0]
         path = tmp_path / "descriptors.tsv"
-        write_descriptors(pool_clip(clip, window=150, stride=150, config=CFG), path)
+        descs = {clip.participant_id: pool_clip(clip, window=150, stride=150, config=CFG)}
+        write_descriptors(descs, 150, path)
         lines = path.read_text().splitlines()
         lines[line_no - 1] = edit(lines[line_no - 1])
         path.write_text("\n".join(lines) + "\n")
         where = f"^{re.escape(str(path))}: line {line_no}: "
         with pytest.raises(ValueError, match=where + f".*{message}"):
             read_descriptors(path)
-
-    def test_descriptor_requires_finite(self):
-        with pytest.raises(ValueError):
-            DynamicDescriptor(np.array([np.inf] * AU_COUNT), "x", 0)
 
 
 class TestPairListSolver:
@@ -273,8 +273,7 @@ class TestPairListSolver:
         d_ref, trace_ref, _ = reference_solve(v, config)
         assert np.array_equal(d, d_ref)
         assert trace == trace_ref
-        desc = rank_pool(Segment("w", 0, frames), config)
-        assert np.array_equal(desc.d, d_ref)
+        assert np.array_equal(rank_pool(Segment("w", 0, frames), config), d_ref)
 
     def test_zero_gradient_exit(self):
         frames = np.ones((12, AU_COUNT))
