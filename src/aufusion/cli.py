@@ -299,8 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = _config_parser()
 
-    def command(name, help_text, func):
-        p = sub.add_parser(name, help=help_text, parents=[common], formatter_class=fmt)
+    def command(name, help_text, func, description=None):
+        p = sub.add_parser(
+            name, help=help_text, description=description, parents=[common], formatter_class=fmt
+        )
         p.set_defaults(func=func)
         return p
 
@@ -338,7 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, help="parallel folds (None: one per usable CPU)")
     _add_pipeline_args(p, MIXTURE, POOLING, CLASSIFIER, FUSION, SEED)
 
-    p = command("sweep", "re-fuse a cached run across omegas", cmd_sweep)
+    p = command(
+        "sweep",
+        "re-fuse a cached run across omegas",
+        cmd_sweep,
+        "Re-fuse a cached leave-one-out run at each omega, without retraining, and "
+        "print the combined accuracy per omega. The accuracy is measured on the "
+        "leave-one-out test folds, so an omega picked from this table is chosen on "
+        "test data and its accuracy is not a held-out estimate.",
+    )
     p.add_argument("--report", required=True, help="report.json sidecar")
     p.add_argument("--omegas", required=True, help="comma-separated omega values")
     p.add_argument("--out", default=None, help="optional table output path")

@@ -410,13 +410,25 @@ def report_from_sidecar(payload: dict) -> LoocvReport:
 
 
 def load_sidecar(path: str | Path) -> dict:
+    """The sidecar in ``path``; a payload that ``report`` or ``sweep`` cannot
+    use raises a ValueError naming the file."""
     payload = read_json(path, ("seed", "configs", "rows"))
     if payload.get("version") != REPORT_VERSION:
         raise ValueError(f"{path}: unsupported report version: {payload.get('version')}")
+    rows = payload["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError(f"{path}: rows must be a list of JSON objects")
+    configs = payload["configs"]
+    fusion_cfg = configs.get("fusion") if isinstance(configs, dict) else None
+    if not isinstance(fusion_cfg, dict):
+        raise ValueError(f"{path}: configs.fusion must be a JSON object")
+    missing = [key for key in ("omega", "tau", "normalize_ll") if key not in fusion_cfg]
+    if missing:
+        raise ValueError(f"{path}: configs.fusion is missing keys {missing}")
     return payload
 
 
-def sweep_from_sidecar(payload: dict, omegas) -> list[tuple[float, float]]:
+def sweep_from_sidecar(payload: dict, omegas) -> fusion_mod.SweepTable:
     """Re-fuse a cached run's rows per omega; no model retraining."""
     fusion_cfg = payload["configs"]["fusion"]
     base = FusionConfig(

@@ -11,22 +11,38 @@ is divided by the clip's frame count so both terms stay on comparable scales
 across clip lengths. Setting ``normalize_ll=False`` and an explicit ``tau``
 recovers the raw score.
 
-The rule needs only the vote count, so it runs on ``(gap, n_dep, N)``:
+The rule needs only the vote count, so it runs on ``(gap, n_dep, N)``, and
+it is written once, in ``_fused``. ``omega`` there is either one float or a
+float64 array that the score and the threshold broadcast over; both apply the
+same IEEE operations in the same order, so they give the same decisions.
 ``fuse`` counts a clip's vote list, and ``refuse_record`` hands a cached
-record's counts to the same rule without rebuilding the votes.
+record's counts to the rule with a scalar weight. ``sweep_omega`` hands each
+cached record to it once with the whole omega grid, keeps one count of correct
+decisions per omega, and returns a ``SweepTable``: two columns that hold the
+caller's omega floats and the n + 1 possible accuracy floats, shared between
+rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .ingest import Label
 
 
 class EmptyVotes(ValueError):
     """Fusion needs at least one segment vote."""
+
+
+def _check_omega(omega):
+    """Raise unless the vote weight (or every weight of an array) lies in
+    ``[0, inf)``; NaN fails."""
+    if not np.all((omega >= 0) & (omega < math.inf)):
+        raise ValueError("omega must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -37,8 +53,7 @@ class FusionConfig:
 
     def __post_init__(self):
         # Each check is written so that NaN fails it.
-        if not 0 <= self.omega < math.inf:
-            raise ValueError("omega must be nonnegative and finite")
+        _check_omega(self.omega)
         if self.tau is not None and not -math.inf < self.tau < math.inf:
             raise ValueError("tau must be finite")
 
@@ -88,14 +103,10 @@ def _fuse_counts(
     count outside ``[0, n_segments]``."""
     if n_segments < 1:
         raise EmptyVotes("need at least one segment vote")
-    gap = ll_dep - ll_ndep
-    if config.normalize_ll:
-        if n_frames is None or n_frames < 1:
-            raise ValueError("normalize_ll requires the clip frame count")
-        gap /= n_frames
-    score = gap + config.omega * n_dep
-    tau = config.omega * n_segments / 2.0 if config.tau is None else config.tau
-    decision = Label.DEPRESSED if score > tau else Label.NONDEPRESSED
+    score, tau, depressed = _fused(
+        ll_dep, ll_ndep, n_dep, n_segments, n_frames, config.omega, config
+    )
+    decision = Label.DEPRESSED if depressed else Label.NONDEPRESSED
     return FusionResult(
         score=score,
         decision=decision,
@@ -105,6 +116,19 @@ def _fuse_counts(
         n_segments=n_segments,
         n_dep_votes=n_dep,
     )
+
+
+def _fused(ll_dep, ll_ndep, n_dep, n_segments, n_frames, omega, config: FusionConfig):
+    """Score, threshold and depressed flag of the fusion rule at ``omega``, a
+    float or a float64 array; ``config`` supplies ``tau`` and ``normalize_ll``."""
+    gap = ll_dep - ll_ndep
+    if config.normalize_ll:
+        if n_frames is None or n_frames < 1:
+            raise ValueError("normalize_ll requires the clip frame count")
+        gap /= n_frames
+    score = gap + omega * n_dep
+    tau = omega * n_segments / 2.0 if config.tau is None else config.tau
+    return score, tau, score > tau
 
 
 # Keys every cached per-clip record must provide for re-fusion.
@@ -124,11 +148,26 @@ def refuse_record(record: Mapping, omega: float, base: FusionConfig) -> FusionRe
     )
 
 
+@dataclass(frozen=True)
+class SweepTable:
+    """Accuracy per omega, stored as two equally long columns; iterating
+    yields ``(omega, accuracy)`` pairs."""
+
+    omegas: tuple[float, ...]
+    accuracies: tuple[float, ...]
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return zip(self.omegas, self.accuracies)
+
+    def __len__(self) -> int:
+        return len(self.omegas)
+
+
 def sweep_omega(
     records: Sequence[Mapping],
     omegas: Sequence[float],
     base: FusionConfig = FusionConfig(),
-) -> list[tuple[float, float]]:
+) -> SweepTable:
     """Accuracy of re-fused decisions per vote weight, without retraining.
 
     ``records`` are cached per-clip intermediates carrying ``RECORD_KEYS``
@@ -138,6 +177,7 @@ def sweep_omega(
         raise ValueError("need at least one cached record")
     if not omegas:
         raise ValueError("need at least one omega value")
+    checked = []
     for index, record in enumerate(records):
         where = f"record {index}"
         if "participant_id" in record:
@@ -145,23 +185,27 @@ def sweep_omega(
         missing = [k for k in RECORD_KEYS if k not in record]
         if missing:
             raise ValueError(f"cached {where} is missing {missing}")
-        # A record's counts are checked once here, at the base weight, so a
-        # bad one is reported with its row; omega never affects the check.
+        # A record is checked once here, at the base weight, so a bad one is
+        # reported with its row; omega never affects the check.
         try:
-            refuse_record(record, base.omega, base)
-        except ValueError as exc:
-            raise type(exc)(f"{where}: {exc}") from None
+            label = Label(record["label"])
+            counts = refuse_record(record, base.omega, base)
+        except (TypeError, ValueError) as exc:  # a bad label, count or null value
+            raise ValueError(f"{where}: {exc}") from None
+        checked.append((label, counts, int(record["n_frames"])))
+    column = tuple(float(omega) for omega in omegas)
+    grid = np.array(column, dtype=np.float64)
+    _check_omega(grid)
+    correct = np.zeros(len(grid), dtype=np.intp)
+    # A huge finite omega overflows to inf exactly as Python floats do.
+    with np.errstate(over="ignore"):
+        for label, counts, n_frames in checked:
+            _, _, depressed = _fused(
+                counts.ll_dep, counts.ll_ndep, counts.n_dep_votes, counts.n_segments, n_frames,
+                grid, base,
+            )
+            correct += depressed if label is Label.DEPRESSED else ~depressed
     # Every accuracy is one of these n + 1 values; the table shares them
     # rather than holding one float object per omega.
-    fractions = [correct / len(records) for correct in range(len(records) + 1)]
-    table = []
-    for omega in omegas:
-        correct = 0
-        for record in records:
-            label = record["label"]
-            if not isinstance(label, Label):
-                label = Label(label)
-            if refuse_record(record, omega, base).decision == label:
-                correct += 1
-        table.append((float(omega), fractions[correct]))
-    return table
+    fractions = [count / len(records) for count in range(len(records) + 1)]
+    return SweepTable(column, tuple(fractions[count] for count in correct.tolist()))

@@ -350,10 +350,13 @@ def load_gmm(path: str | Path) -> tuple[GmmModel, EmConfig | None]:
     payload = read_json(path, ("weights", "means", "variances", "em_config"))
     if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format: {payload.get('format_version')}")
-    model = GmmModel(
-        np.array(payload["weights"]),
-        np.array(payload["means"]),
-        np.array(payload["variances"]),
-    )
-    config = EmConfig(**payload["em_config"]) if payload["em_config"] else None
+    try:
+        model = GmmModel(
+            np.array(payload["weights"]),
+            np.array(payload["means"]),
+            np.array(payload["variances"]),
+        )
+        config = EmConfig(**payload["em_config"]) if payload["em_config"] else None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model, config

@@ -346,6 +346,7 @@ def read_corpus(directory: str | Path) -> Corpus:
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
     clips = []
+    first_line: dict[str, int] = {}
     with open(manifest_path, encoding="utf-8") as manifest:
         for line_no, line in enumerate(manifest, start=1):
             if not line.strip():
@@ -358,12 +359,18 @@ def read_corpus(directory: str | Path) -> Corpus:
                 if not clip_path.is_file():
                     raise ValueError(f"clip file not found: {clip_path}")
                 participant_id = record["participant_id"]
+                if participant_id in first_line:
+                    raise ValueError(
+                        f"duplicate participant id {participant_id!r}"
+                        f" (first on line {first_line[participant_id]})"
+                    )
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{at}: {exc.msg} at column {exc.colno}") from None
             except KeyError as exc:
                 raise ValueError(f"{at}: missing key {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{at}: {exc}") from None
+            first_line[participant_id] = line_no
             clips.append(read_clip(clip_path, participant_id, label))
     return Corpus(clips)
 

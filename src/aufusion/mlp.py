@@ -227,11 +227,14 @@ def load_mlp(path: str | Path) -> tuple[MlpModel, TrainConfig | None]:
     payload = read_json(path, ("params", "input_mean", "input_std", "train_config"))
     if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format: {payload.get('format_version')}")
-    arrays = {k: np.array(v) for k, v in payload["params"].items()}
-    model = MlpModel(
-        **arrays,
-        input_mean=np.array(payload["input_mean"]),
-        input_std=np.array(payload["input_std"]),
-    )
-    config = TrainConfig(**payload["train_config"]) if payload["train_config"] else None
+    try:
+        arrays = {k: np.array(v) for k, v in payload["params"].items()}
+        model = MlpModel(
+            **arrays,
+            input_mean=np.array(payload["input_mean"]),
+            input_std=np.array(payload["input_std"]),
+        )
+        config = TrainConfig(**payload["train_config"]) if payload["train_config"] else None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model, config

@@ -161,6 +161,28 @@ class TestSweepCommand:
         assert "vote count out of range" in err
         assert "P001" in err
 
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda p: p["rows"][1].update(label="Sad"), "record 1 (P002): 'Sad' is not a valid Label"),
+            (lambda p: p["configs"]["fusion"].pop("omega"), "configs.fusion is missing keys ['omega']"),
+            (lambda p: p["rows"].append(7), "rows must be a list of JSON objects"),
+            (lambda p: p["rows"][2].update(n_frames=None), "record 2 (P003): int() argument"),
+        ],
+        ids=["bad-label", "no-omega", "row-not-object", "null-frame-count"],
+    )
+    def test_bad_sidecar_is_usage_error_located(self, run_dir, tmp_path, capsys, edit, where):
+        payload = json.loads((run_dir / "report.json").read_text())
+        edit(payload)
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(payload))
+        code = main(["sweep", "--report", str(bad), "--omegas", "0,1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert where in err
+        if "record" not in where:
+            assert f"error: {bad}: " in err
+
 
 class TestModelCommands:
     def test_artifacts_written(self, workspace):
@@ -472,3 +494,35 @@ class TestInputErrorsNameTheFile:
         )
         assert code == 2
         assert f"error: {bad}: missing keys ['weights']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, edit, message",
+        [
+            ("gmm-depressed.json", lambda p: p["weights"].pop(),
+             "weights and means disagree on component count"),
+            ("mlp.json", lambda p: p.update(train_config={**p["train_config"], "bogus": 1}),
+             "unexpected keyword argument 'bogus'"),
+        ],
+        ids=["gmm-short-weights", "mlp-unknown-config-key"],
+    )
+    def test_model_with_a_bad_value(self, workspace, tmp_path, capsys, model, edit, message):
+        _, corpus, models, _, mlp_path = workspace
+        paths = {
+            "gmm-depressed.json": models / "gmm-depressed.json",
+            "gmm-nondepressed.json": models / "gmm-nondepressed.json",
+            "mlp.json": mlp_path,
+        }
+        payload = json.loads(paths[model].read_text())
+        edit(payload)
+        paths[model] = bad = tmp_path / model
+        bad.write_text(json.dumps(payload))
+        code = main(
+            ["score", "--clip", str(corpus / "clips" / "P001.csv"),
+             "--gmm-dep", str(paths["gmm-depressed.json"]),
+             "--gmm-ndep", str(paths["gmm-nondepressed.json"]),
+             "--mlp", str(paths["mlp.json"])]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert message in err

@@ -329,3 +329,40 @@ class TestJsonArtifactErrorsNameTheFile:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             load(path)
+
+    # Each model loader with a payload whose values its model or config rejects.
+    BAD_VALUES = {
+        "gmm": (
+            load_gmm,
+            {
+                "format_version": 1,
+                "weights": [1.0],
+                "means": [[0.0], [1.0]],
+                "variances": [[1.0], [1.0]],
+                "em_config": None,
+            },
+            "weights and means disagree on component count",
+        ),
+        "mlp": (
+            load_mlp,
+            {
+                "format_version": 1,
+                "params": {
+                    "w1": [[1.0]], "b1": [0.0], "w2": [[1.0]], "b2": [0.0],
+                    "w3": [[1.0]], "b3": [0.0],
+                },
+                "input_mean": [0.0],
+                "input_std": [1.0],
+                "train_config": {"bogus": 1},
+            },
+            "unexpected keyword argument 'bogus'",
+        ),
+    }
+
+    @pytest.mark.parametrize("loader", ["gmm", "mlp"])
+    def test_bad_model_value_names_the_file(self, tmp_path, loader):
+        load, payload, message = self.BAD_VALUES[loader]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load(path)

@@ -176,6 +176,33 @@ class TestSweepOmega:
         with pytest.raises(ValueError):
             sweep_omega(_records(), [1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5, -1e-300])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_bad_omega_anywhere_raises_the_config_message(self, bad, position):
+        omegas = [0.0, 0.5, 1.0, 2.0, 1e6]
+        omegas[position] = bad
+        with pytest.raises(ValueError, match="^omega must be nonnegative and finite$"):
+            FusionConfig(omega=bad)
+        with pytest.raises(ValueError, match="^omega must be nonnegative and finite$"):
+            sweep_omega(_records(), omegas)
+
+    def test_bad_label_names_the_record(self):
+        records = _records()
+        records[4] = dict(records[4], label="Sad", participant_id="P005")
+        with pytest.raises(ValueError, match=r"^record 4 \(P005\): 'Sad' is not a valid Label"):
+            sweep_omega(records, [1.0])
+
+    def test_table_is_two_columns_of_pairs(self):
+        records = _records()
+        omegas = [0.0, 1.0, 1e6]
+        table = sweep_omega(records, omegas)
+        assert len(table) == 3
+        assert dict(table) == {0.0: 22 / 30, 1.0: table.accuracies[1], 1e6: 21 / 30}
+        assert list(table) == list(zip(table.omegas, table.accuracies))
+        same, other = sweep_omega(records, list(omegas)), sweep_omega(records, [0.0, 1.0])
+        assert (table == same) is True
+        assert (table == other) is False
+
     @pytest.mark.parametrize(
         "n_dep, n_segments", [(10, 9), (-1, 9), (1, 0)], ids=["above", "negative", "empty"]
     )
@@ -209,6 +236,30 @@ def reference_sweep(records, omegas, base):
     return table
 
 
+def _random_records(rng):
+    """1-15 records, a fifth of them with equal likelihoods and half their
+    votes depressed (a tie at the default threshold), labelled either as
+    ``Label`` values or as their string names."""
+    records = []
+    for _ in range(rng.randint(1, 15)):
+        n = rng.randint(1, 25)
+        half = rng.randint(1, 12)
+        ll_dep = rng.uniform(-4e4, 0.0)
+        tie = rng.random() < 0.2
+        label = rng.choice(list(Label))
+        records.append(
+            {
+                "label": label if rng.random() < 0.5 else label.value,
+                "ll_dep": ll_dep,
+                "ll_ndep": ll_dep if tie else rng.uniform(-4e4, 0.0),
+                "n_segments": 2 * half if tie else n,
+                "n_dep_votes": half if tie else rng.randint(0, n),
+                "n_frames": rng.randint(1, 9000),
+            }
+        )
+    return records
+
+
 class TestCountFusionMatchesVoteLists:
     @pytest.mark.parametrize("normalize_ll", [True, False])
     @pytest.mark.parametrize("tau", [None, 0.0, 2.5, -1.5])
@@ -216,24 +267,27 @@ class TestCountFusionMatchesVoteLists:
         rng = random.Random(f"{normalize_ll}-{tau}")
         base = FusionConfig(tau=tau, normalize_ll=normalize_ll)
         for _ in range(20):
-            records = []
-            for _ in range(rng.randint(1, 15)):
-                n = rng.randint(1, 25)
-                ll_dep = rng.uniform(-4e4, 0.0)
-                # Equal likelihoods make the default threshold tie on split votes.
-                ll_ndep = ll_dep if rng.random() < 0.2 else rng.uniform(-4e4, 0.0)
-                records.append(
-                    {
-                        "label": rng.choice(list(Label)).value,
-                        "ll_dep": ll_dep,
-                        "ll_ndep": ll_ndep,
-                        "n_segments": n,
-                        "n_dep_votes": rng.randint(0, n),
-                        "n_frames": rng.randint(1, 9000),
-                    }
-                )
+            records = _random_records(rng)
             omegas = [0.0, 1e6] + [rng.uniform(0.0, 30.0) for _ in range(30)]
+            omegas += [rng.randint(0, 30) for _ in range(10)]
             table = sweep_omega(records, omegas, base)
-            assert table == reference_sweep(records, omegas, base)
-            # The accuracies share the n + 1 possible float objects.
-            assert len({id(accuracy) for _, accuracy in table}) <= len(records) + 1
+            assert list(table) == reference_sweep(records, omegas, base)
+            # Float inputs are kept as the caller's objects, and the
+            # accuracies share the n + 1 possible float objects.
+            for given, kept in zip(omegas, table.omegas):
+                assert kept is given if isinstance(given, float) else kept == float(given)
+            assert len({id(accuracy) for accuracy in table.accuracies}) <= len(records) + 1
+
+    def test_ties_at_the_default_threshold_resolve_nondepressed(self):
+        rng = random.Random(3)
+        records = []
+        while not any(r["ll_dep"] == r["ll_ndep"] for r in records):
+            records = _random_records(rng)
+        tied = [r for r in records if r["ll_dep"] == r["ll_ndep"]]
+        for record in tied:
+            record["label"] = Label.NONDEPRESSED
+        omegas = [0.5, 1, 3, 7.25]
+        assert list(sweep_omega(tied, omegas)) == [(float(o), 1.0) for o in omegas]
+        assert list(sweep_omega(records, omegas)) == reference_sweep(
+            records, omegas, FusionConfig()
+        )

@@ -233,8 +233,10 @@ class TestCorpusRoundTrip:
             (lambda rec: "{" + json.dumps(rec)[2:], "Expecting property name"),
             (lambda rec: json.dumps({**rec, "label": "Sad"}), "'Sad' is not a valid Label"),
             (lambda rec: json.dumps({**rec, "path": "clips/P404.csv"}), "clip file not found"),
+            (lambda rec: json.dumps({**rec, "participant_id": "P001"}),
+             r"duplicate participant id 'P001' \(first on line 1\)$"),
         ],
-        ids=["no-label", "bad-json", "bad-label", "no-clip-file"],
+        ids=["no-label", "bad-json", "bad-label", "no-clip-file", "duplicate-id"],
     )
     def test_bad_manifest_record_names_file_and_line(self, tmp_path, edit, message):
         corpus = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=9))
