@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import typing
 from dataclasses import replace
@@ -261,7 +262,29 @@ def cmd_loocv(args) -> int:
     return 0
 
 
+_OMEGA_RANGE = "START:STOP:STEP"
+_MAX_STEPS = 10**6  # a longer range is a typo, not a sweep
+
+
 def _parse_omegas(text: str) -> list[float]:
+    """A comma list of omegas, or one ``START:STOP:STEP`` item meaning
+    ``START + i * STEP`` for ``i = 0 .. round((STOP - START) / STEP)``."""
+    if ":" in text:
+        try:
+            start, stop, step = (float(part) for part in text.split(":"))
+        except ValueError:
+            raise ValidationError(f"bad omega range {text!r}: expected {_OMEGA_RANGE}") from None
+        if not all(math.isfinite(x) for x in (start, stop, step)) or step <= 0 or stop < start:
+            raise ValidationError(
+                f"bad omega range {text!r}: {_OMEGA_RANGE} needs finite parts,"
+                " STEP > 0 and STOP >= START"
+            )
+        steps = (stop - start) / step
+        if steps > _MAX_STEPS:
+            raise ValidationError(
+                f"bad omega range {text!r}: {_OMEGA_RANGE} takes more than {_MAX_STEPS} steps"
+            )
+        return [start + i * step for i in range(round(steps) + 1)]
     values = [v for v in text.split(",") if v.strip()]
     if not values:
         raise ValidationError("need at least one omega value")
@@ -350,7 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
         "test data and its accuracy is not a held-out estimate.",
     )
     p.add_argument("--report", required=True, help="report.json sidecar")
-    p.add_argument("--omegas", required=True, help="comma-separated omega values")
+    p.add_argument(
+        "--omegas",
+        required=True,
+        help=f"comma-separated omega values, or one {_OMEGA_RANGE} range"
+        " (START + i*STEP for i = 0 .. round((STOP - START) / STEP))",
+    )
     p.add_argument("--out", default=None, help="optional table output path")
 
     p = command("report", "re-render a cached run's table", cmd_report)
@@ -374,11 +402,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):
     path = _config_parser().parse_known_args(argv)[0].config
     if path is None:
         return
-    config_path = _require_file(path, "config file")
-    values = read_json(config_path)
     subparser = parser._subparsers._group_actions[0].choices.get(argv[0])  # noqa: SLF001
     if subparser is None:
-        raise ValidationError("--config requires a subcommand")
+        raise ValidationError("--config must come after the subcommand name")
+    values = read_json(_require_file(path, "config file"))
     unknown = set(values) - {a.dest for a in subparser._actions}  # noqa: SLF001
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")

@@ -181,10 +181,19 @@ def parse_au_csv(
     participant_id: str = "clip",
     label: Label | None = None,
 ) -> AUClip:
-    """Read one clip from CSV text (a string or an iterable of lines).
+    """Read one clip from CSV text (a string, a text file or an iterable of lines).
 
     The header must name exactly 17 AU intensity columns; other columns are
     ignored. Column order in the file is preserved in the frame matrix.
+
+    The header is read with ``csv``, and the body of a string or file with
+    NumPy's C reader, which converts each AU cell exactly as ``float`` does.
+    A per-cell loop, the only code that locates bad input, parses the body
+    instead when csv's rules could differ, when the C reader rejects it or
+    finds no data line or a non-finite value, and for an iterable of lines.
+    It accepts what ``float`` accepts, skips blank, whitespace-only and
+    comma-only rows, and raises ``ParseError`` naming the bad cell's line and
+    column.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -203,6 +212,22 @@ def parse_au_csv(
         raise ExtraColumn(
             f"expected {AU_COUNT} AU intensity columns, found {len(au_indices)}"
         )
+
+    if hasattr(source, "read"):
+        body = source.read()
+        # A quote or a CR brings in csv's quoting and line rules; the C reader
+        # strips \x1c-\x1f around a number, which float() rejects in ASCII.
+        if body.strip() and not any(char in body for char in '"\r\x1c\x1d\x1e\x1f'):
+            try:
+                frames = np.loadtxt(
+                    body.split("\n"), delimiter=",", comments=None, usecols=au_indices, ndmin=2
+                )
+            except ValueError:
+                pass  # the loop below locates the bad cell
+            else:
+                if np.isfinite(frames).all():
+                    return AUClip(participant_id=participant_id, frames=frames, label=label)
+        reader = csv.reader(io.StringIO(body))
 
     rows = []
     for line_no, row in enumerate(reader, start=2):
@@ -242,13 +267,13 @@ def emit_au_csv(clip: AUClip) -> str:
 
     Values are written with shortest round-trip precision, so
     ``parse_au_csv(emit_au_csv(c))`` reproduces ``c.frames`` bit for bit.
+    Rows are joined as plain text: no name or float repr holds a comma, a
+    quote or a line break, so the text equals the output of a ``csv.writer``
+    with a newline line terminator byte for byte.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["frame"] + AU_COLUMN_NAMES)
-    for idx, row in enumerate(clip.frames):
-        writer.writerow([idx] + [repr(float(v)) for v in row])
-    return out.getvalue()
+    lines = ["frame," + ",".join(AU_COLUMN_NAMES)]
+    lines += [f"{i}," + ",".join(map(repr, row)) for i, row in enumerate(clip.frames.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def check_segmentable(clips: Sequence[AUClip], window: int, stride: int):

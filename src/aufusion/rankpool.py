@@ -18,14 +18,18 @@ objective trace is non-increasing by construction.
 
 The solver works on the list of the n(n-1)/2 ordered pairs (a > b), not on
 n x n matrices. The pair indices are built once per window length and cached
-read-only, so every window of that length shares them. The hinge sum gathers
-the pair values in row-major order, as a masked lower triangle would, so the
-kernels and objective traces equal those of the matrix formulation bit for
-bit.
+read-only, so every window of that length shares them. One evaluation builds
+the pair differences ``scores[a] - scores[b]`` in row-major order (repeating
+``scores[a]`` once per pair in row a), takes the indices of the pairs with
+``diff < margin`` as the active set, and sums ``margin - diff`` over them; the
+next subgradient counts the active indices per frame. The values and their
+order are those a masked lower triangle would give, so the kernels and
+objective traces equal those of the matrix formulation bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -88,13 +92,15 @@ def solve_rank_kernel(
     if n < 2:
         raise SegmentTooShort("need at least two frames to rank")
     ia, ib = _pair_indices(n)
+    repeats = np.arange(n)  # row a holds a pairs, so repeating scores[a] gathers scores[ia]
     margin, reg_c = config.margin, config.reg_c
 
     def evaluate(d: np.ndarray, scores: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective at ``d`` and the mask of pairs whose hinge is active."""
-        gaps = margin - (scores[ia] - scores[ib])
-        active = gaps > 0
-        return 0.5 * float(d @ d) + reg_c * float(gaps[active].sum()), active
+        """Objective at ``d`` and the indices of pairs whose hinge is active."""
+        diffs = scores.repeat(repeats)
+        diffs -= scores[ib]
+        active = (diffs < margin).nonzero()[0]
+        return 0.5 * float(d @ d) + reg_c * float((margin - diffs[active]).sum()), active
 
     d = np.zeros(v.shape[1])
     f_curr, active = evaluate(d, v @ d)
@@ -103,7 +109,7 @@ def solve_rank_kernel(
     for epoch in range(config.max_epochs):
         coef = np.bincount(ia[active], minlength=n) - np.bincount(ib[active], minlength=n)
         grad = d - reg_c * (v.T @ coef.astype(np.float64))
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = math.sqrt(grad @ grad)
         if grad_norm < 1e-12:
             break
         eta = config.step_size / ((1.0 + epoch) * grad_norm)

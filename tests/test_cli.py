@@ -149,6 +149,28 @@ class TestSweepCommand:
         code = main(["sweep", "--report", str(run_dir / "report.json"), "--omegas", "1,-0.5"])
         assert code == 2
 
+    def test_omega_range_prints_what_the_same_list_prints(self, run_dir, tmp_path, capsys):
+        # 20,001 values: too long for one command-line argument as a list.
+        report = str(run_dir / "report.json")
+        assert main(["sweep", "--report", report, "--omegas", "0:10:0.0005"]) == 0
+        from_range = capsys.readouterr().out
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"omegas": ",".join(repr(i * 0.0005) for i in range(20001))}))
+        assert main(["sweep", "--config", str(config), "--report", report]) == 0
+        assert capsys.readouterr().out == from_range
+        assert from_range.count("\n") == 1 + 20001
+
+    @pytest.mark.parametrize(
+        "text", ["0:1", "0:1:x", "nan:1:0.5", "0:inf:0.5", "0:1:0", "0:1:-0.5", "1:0:0.5",
+                 "0:1e300:1e-300", "0:1,2"]
+    )
+    def test_bad_omega_range_is_usage_error_naming_the_form(self, run_dir, capsys, text):
+        code = main(["sweep", "--report", str(run_dir / "report.json"), "--omegas", text])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: bad omega range {text!r}: " in err
+        assert "START:STOP:STEP" in err
+
     def test_out_of_range_vote_count_is_usage_error(self, run_dir, tmp_path, capsys):
         payload = json.loads((run_dir / "report.json").read_text())
         row = payload["rows"][0]
@@ -273,6 +295,14 @@ class TestConfigFile:
         code = main(["synth", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_config_before_the_subcommand_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 4}))
+        code = main(["--config", str(config), "synth", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "error: --config must come after the subcommand name" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_config_file_that_is_not_json_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"

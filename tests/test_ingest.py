@@ -1,6 +1,9 @@
+import csv
 import io
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +90,190 @@ class TestParseAuCsv:
         first = parse_au_csv(_csv_text(frames))
         second = parse_au_csv(emit_au_csv(first))
         np.testing.assert_array_equal(first.frames, second.frames)
+
+
+def reference_parse(source, participant_id="clip", label=None):
+    """The per-cell csv loop that parsed every body before the C reader did;
+    the oracle."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyClip("empty CSV: no header row") from None
+    names = [name.strip() for name in header]
+    au_indices = [i for i, name in enumerate(names) if "AU" in name and name.endswith("_r")]
+    if len(au_indices) < AU_COUNT:
+        raise MissingColumn(f"expected {AU_COUNT} AU intensity columns, found {len(au_indices)}")
+    if len(au_indices) > AU_COUNT:
+        raise ExtraColumn(f"expected {AU_COUNT} AU intensity columns, found {len(au_indices)}")
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        values = []
+        for i in au_indices:
+            cell = row[i] if i < len(row) else ""
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"line {line_no}, column {header[i]!r}: {cell!r} is not a finite number"
+                )
+            values.append(value)
+        rows.append(values)
+    if not rows:
+        raise EmptyClip("CSV has a header but no data rows")
+    return AUClip(participant_id=participant_id, frames=np.array(rows), label=label)
+
+
+def reference_emit(clip):
+    """``csv.writer`` output, as ``emit_au_csv`` wrote it before; the oracle."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["frame"] + AU_COLUMN_NAMES)
+    for idx, row in enumerate(clip.frames):
+        writer.writerow([idx] + [repr(float(v)) for v in row])
+    return out.getvalue()
+
+
+def outcome(parse, source):
+    """Frames as int64 bits (so -0.0 and 0.0 differ), or the exception's type
+    and message; a warning is raised as an error and so shows in the outcome."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return parse(source).frames.view(np.int64).tolist()
+        except Exception as exc:  # noqa: BLE001
+            return type(exc), str(exc)
+
+
+def _rows(n=4, seed=0):
+    rng = np.random.default_rng(seed)
+    return [[repr(v) for v in row] for row in rng.uniform(0.0, 5.0, (n, AU_COUNT)).tolist()]
+
+
+def _text(rows, header=("frame", *AU_COLUMN_NAMES), newline="\n"):
+    lines = [",".join(header)] + [",".join(row) if isinstance(row, list) else row for row in rows]
+    return newline.join(lines) + newline
+
+
+def _with_cell(row, column, cell):
+    return row[:column] + [cell] + row[column + 1 :]
+
+
+_MIXED_HEADER = [
+    "frame", "timestamp", *AU_COLUMN_NAMES[:6], "confidence", "face_id", "pose",
+    *AU_COLUMN_NAMES[6:], "success",
+]
+
+
+def _mixed(row, confidence="0.98"):
+    """A row for ``_MIXED_HEADER``: non-AU cells before, between and after."""
+    return ["0", "0.033", *row[:6], confidence, "0", "1.5", *row[6:], "1"]
+
+
+def _synthetic_text(seed):
+    config = SynthConfig(n_participants=2, frames_per_clip=300, seed=seed)
+    return emit_au_csv(synth_corpus(config).clips[seed % 2])
+
+
+PARSE_CASES = {
+    "emitted-synthetic-0": lambda: _synthetic_text(0),
+    "emitted-synthetic-1": lambda: _synthetic_text(1),
+    "negative-zero": lambda: _text(
+        [_with_cell(_with_cell(r, 0, "-0.0"), 16, "-0") for r in _rows()], AU_COLUMN_NAMES
+    ),
+    "non-au-columns": lambda: _text([_mixed(r) for r in _rows()], header=_MIXED_HEADER),
+    # Split at its commas, the quoted cell would fill the two non-AU columns
+    # after it and shift numeric cells into the AU columns without an error.
+    "quoted-list-between-au-columns": lambda: _text(
+        [_mixed(r, confidence='"1,2,3"') for r in _rows()], header=_MIXED_HEADER
+    ),
+    "quoted-au-cell": lambda: _text([_with_cell(r, 3, '"2.5"') for r in _rows()], AU_COLUMN_NAMES),
+    "underscore-digits": lambda: _text(
+        [_with_cell(r, 0, "1_000") for r in _rows()], AU_COLUMN_NAMES
+    ),
+    "non-ascii-digits": lambda: _text(
+        [_with_cell(r, 5, "\u0663.\u0665") for r in _rows()], AU_COLUMN_NAMES
+    ),
+    "blank-space-comma-rows": lambda: _text(
+        [_rows()[0], "", "   ", ",,,,", _rows()[1], " , ,"], AU_COLUMN_NAMES
+    ),
+    "crlf": lambda: _text(_rows(), AU_COLUMN_NAMES, newline="\r\n"),
+    "cr-only": lambda: _text(_rows(), AU_COLUMN_NAMES, newline="\r"),
+    # csv rejects a bare CR inside a line. NumPy 2's C reader rejects it too,
+    # but the body goes to the loop before the C reader sees it.
+    "cr-between-rows": lambda: _text(
+        [",".join(_rows()[0]) + "\r" + ",".join(_rows()[1])], AU_COLUMN_NAMES
+    ),
+    # float() does not strip \x1c-\x1f from ASCII text; the C reader does.
+    "info-separator-after-number": lambda: _text(
+        [_with_cell(r, 2, "1.5\x1c") for r in _rows()], AU_COLUMN_NAMES
+    ),
+    "short-row": lambda: _text([_rows()[0], _rows()[1][:10]], AU_COLUMN_NAMES),
+    "empty-cell": lambda: _text([_rows()[0], _with_cell(_rows()[1], 7, "")], AU_COLUMN_NAMES),
+    "nan": lambda: _text([_rows()[0], _with_cell(_rows()[1], 4, "nan")], AU_COLUMN_NAMES),
+    "inf": lambda: _text([_with_cell(_rows()[0], 16, "-inf")], AU_COLUMN_NAMES),
+    "overflow": lambda: _text([_rows()[0], _with_cell(_rows()[1], 9, "1e400")], AU_COLUMN_NAMES),
+    "header-only": lambda: _text([], header=_MIXED_HEADER),
+    "header-and-blank-lines": lambda: _text(["", "  "], header=_MIXED_HEADER),
+}
+
+
+class TestParseMatchesReference:
+    """The C reader and the per-cell loop give the reference's frames or its
+    error, and never a warning."""
+
+    @pytest.mark.parametrize("case", PARSE_CASES)
+    def test_text(self, case):
+        text = PARSE_CASES[case]()
+        assert outcome(parse_au_csv, text) == outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("case", ["emitted-synthetic-0", "non-au-columns", "crlf", "nan"])
+    def test_file_and_lines(self, tmp_path, case):
+        # A file opened in text mode turns CRLF into LF, so the CRLF file
+        # takes the C reader; a list of lines takes the loop.
+        path = tmp_path / "clip.csv"
+        path.write_bytes(PARSE_CASES[case]().encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            expected = outcome(reference_parse, fh)
+        with open(path, encoding="utf-8") as fh:
+            assert outcome(parse_au_csv, fh) == expected
+        with open(path, encoding="utf-8") as fh:
+            assert outcome(parse_au_csv, list(fh)) == expected
+
+    def test_cases_reach_both_readers(self, monkeypatch):
+        parsed_by_c_reader = []
+        loadtxt = np.loadtxt
+
+        def recording(*args, **kwargs):
+            frames = loadtxt(*args, **kwargs)
+            parsed_by_c_reader.append(frames.shape)
+            return frames
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        parse_au_csv(PARSE_CASES["non-au-columns"]())
+        assert parsed_by_c_reader == [(4, AU_COUNT)]
+        parse_au_csv(PARSE_CASES["quoted-list-between-au-columns"]())
+        assert len(parsed_by_c_reader) == 1
+
+
+class TestEmitMatchesCsvWriter:
+    def test_extreme_values(self):
+        frames = np.array(
+            [[-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+              1.7976931348623157e308, 0.1, 1 / 3, -2.5, 4.0, 1e16, 1e-7, 123456789.0, 1.0]] * 2
+        )
+        clip = AUClip("p", frames)
+        assert emit_au_csv(clip) == reference_emit(clip)
+
+    def test_synthetic_clip(self):
+        clip = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=4)).clips[0]
+        assert emit_au_csv(clip) == reference_emit(clip)
 
 
 class TestAuClip:

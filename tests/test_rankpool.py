@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,6 +275,30 @@ class TestPairListSolver:
         assert np.array_equal(d, d_ref)
         assert trace == trace_ref
         assert np.array_equal(rank_pool(Segment("w", 0, frames), config), d_ref)
+
+    @pytest.mark.parametrize("n", [10, 57, 150])
+    @pytest.mark.parametrize("step_size", [1.0, 2.0])
+    def test_integer_frames_put_pairs_on_the_margin(self, n, step_size):
+        # One integer-valued AU and a unit margin: the first normalized step
+        # sets that AU's weight to exactly step_size and the second moves it
+        # by half that, so after one of the first two epochs pairs whose
+        # frames differ by a small integer score a gap of exactly the margin,
+        # on the kink of their hinges.
+        rng = np.random.default_rng(n)
+        frames = np.zeros((n, AU_COUNT))
+        frames[:, 0] = np.cumsum(rng.integers(-1, 3, n))
+        config = RankPoolConfig(margin=1.0, step_size=step_size, smooth=False)
+        d, trace = solve_rank_kernel(frames, config)
+        d_ref, trace_ref, _ = reference_solve(frames, config)
+        assert np.array_equal(d, d_ref)
+        assert trace == trace_ref
+        ia, ib = _pair_indices(n)
+        on_margin = 0
+        for epochs in (1, 2):
+            early, _ = solve_rank_kernel(frames, replace(config, max_epochs=epochs))
+            scores = frames @ early
+            on_margin += int((scores[ia] - scores[ib] == config.margin).sum())
+        assert on_margin > 0
 
     def test_zero_gradient_exit(self):
         frames = np.ones((12, AU_COUNT))
