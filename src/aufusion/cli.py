@@ -72,8 +72,6 @@ _PIPELINE_FLAGS = (
     (POOLING, "--margin", "rankpool", "margin", "required rank score gap"),
     (POOLING, "--reg-c", "rankpool", "reg_c", "hinge trade-off"),
     (POOLING, "--rank-epochs", "rankpool", "max_epochs", "max ranking-kernel solver epochs"),
-    (POOLING, "--step-size", "rankpool", "step_size", "initial solver step size"),
-    (POOLING, "--no-smooth", "rankpool", "smooth", "disable running-mean smoothing"),
     (CLASSIFIER, "--hidden1", "mlp", "hidden1", "first hidden layer width"),
     (CLASSIFIER, "--hidden2", "mlp", "hidden2", "second hidden layer width"),
     (CLASSIFIER, "--dropout", "mlp", "dropout", "dropout rate after each hidden layer"),

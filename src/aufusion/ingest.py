@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class Segment:
             raise ValueError(f"segment frames must be (window, {AU_COUNT})")
         object.__setattr__(self, "frames", frames)
 
-    @property
-    def length(self) -> int:
-        return self.frames.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
@@ -177,29 +173,27 @@ def _is_au_column(name: str) -> bool:
 
 
 def parse_au_csv(
-    source: str | Iterable[str],
+    source: str | TextIO,
     participant_id: str = "clip",
     label: Label | None = None,
 ) -> AUClip:
-    """Read one clip from CSV text (a string, a text file or an iterable of lines).
+    """Read one clip from CSV text: a string or a text file.
 
     The header must name exactly 17 AU intensity columns; other columns are
     ignored. Column order in the file is preserved in the frame matrix.
 
-    The header is read with ``csv``, and the body of a string or file with
-    NumPy's C reader, which converts each AU cell exactly as ``float`` does.
-    A per-cell loop, the only code that locates bad input, parses the body
-    instead when csv's rules could differ, when the C reader rejects it or
-    finds no data line or a non-finite value, and for an iterable of lines.
-    It accepts what ``float`` accepts, skips blank, whitespace-only and
-    comma-only rows, and raises ``ParseError`` naming the bad cell's line and
-    column.
+    The header is read with ``csv`` and the body with NumPy's C reader, which
+    converts each AU cell exactly as ``float`` does. A per-cell loop, the
+    only code that locates bad input, parses the body instead when csv's
+    rules could differ, or when the C reader rejects it or finds no data line
+    or a non-finite value. It accepts what ``float`` accepts, skips blank,
+    whitespace-only and comma-only rows, and raises ``ParseError`` naming the
+    bad cell's line and column.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source)
     try:
-        header = next(reader)
+        header = next(csv.reader(source))
     except StopIteration:
         raise EmptyClip("empty CSV: no header row") from None
 
@@ -213,24 +207,22 @@ def parse_au_csv(
             f"expected {AU_COUNT} AU intensity columns, found {len(au_indices)}"
         )
 
-    if hasattr(source, "read"):
-        body = source.read()
-        # A quote or a CR brings in csv's quoting and line rules; the C reader
-        # strips \x1c-\x1f around a number, which float() rejects in ASCII.
-        if body.strip() and not any(char in body for char in '"\r\x1c\x1d\x1e\x1f'):
-            try:
-                frames = np.loadtxt(
-                    body.split("\n"), delimiter=",", comments=None, usecols=au_indices, ndmin=2
-                )
-            except ValueError:
-                pass  # the loop below locates the bad cell
-            else:
-                if np.isfinite(frames).all():
-                    return AUClip(participant_id=participant_id, frames=frames, label=label)
-        reader = csv.reader(io.StringIO(body))
+    body = source.read()
+    # A quote or a CR brings in csv's quoting and line rules; the C reader
+    # strips \x1c-\x1f around a number, which float() rejects in ASCII.
+    if body.strip() and not any(char in body for char in '"\r\x1c\x1d\x1e\x1f'):
+        try:
+            frames = np.loadtxt(
+                body.split("\n"), delimiter=",", comments=None, usecols=au_indices, ndmin=2
+            )
+        except ValueError:
+            pass  # the loop below locates the bad cell
+        else:
+            if np.isfinite(frames).all():
+                return AUClip(participant_id=participant_id, frames=frames, label=label)
 
     rows = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(csv.reader(io.StringIO(body)), start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         values = []
@@ -252,14 +244,28 @@ def parse_au_csv(
 
 
 def read_clip(path: str | Path, participant_id: str, label: Label | None = None) -> AUClip:
-    """Parse one clip CSV file; a parse error names the file."""
+    """Parse one clip CSV file; a parse error names the file, and a byte that
+    is not UTF-8 its line and its 1-based place in that line."""
     with open(path, encoding="utf-8") as fh:
         try:
             return parse_au_csv(fh, participant_id, label)
         except (MissingColumn, ExtraColumn, ParseError, EmptyClip) as exc:
             raise type(exc)(f"{path}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+            # The decoder's position is inside its buffer; decode the whole
+            # file again to place the byte.
+            raw = Path(path).read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            at = exc.start
+            line = raw.count(b"\n", 0, at) + 1
+            byte = at - raw.rfind(b"\n", 0, at)
+            raise ParseError(
+                f"{path}: not UTF-8 text: line {line}, byte {byte}:"
+                f" {exc.reason} (0x{exc.object[at]:02x})"
+            ) from None
 
 
 def emit_au_csv(clip: AUClip) -> str:

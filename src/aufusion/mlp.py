@@ -76,10 +76,6 @@ class MlpModel:
         if self.w3.shape != (self.w2.shape[1], 1):
             raise ValueError("output layer must map to a single unit")
 
-    @property
-    def input_dim(self) -> int:
-        return self.w1.shape[0]
-
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in ("w1", "b1", "w2", "b2", "w3", "b3")}
 

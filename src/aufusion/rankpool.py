@@ -7,14 +7,15 @@ margin: minimize
     0.5 * ||d||^2 + reg_c * sum_{a > b} max(0, margin - <d, v_a - v_b>)
 
 over all ordered frame pairs, where ``v_a`` is the running mean of the first
-``a`` frames (running-mean smoothing stabilizes the ordering signal and is
-on by default). The minimizer encodes the segment's temporal evolution and
-becomes its 17-dimensional dynamic descriptor.
+``a`` frames. The smoothing is always applied, as in Fernando et al.'s rank
+pooling: it stabilizes the ordering signal. The minimizer encodes the
+segment's temporal evolution and becomes its 17-dimensional dynamic
+descriptor.
 
-The solver is deterministic full-batch subgradient descent on a diminishing
-step schedule ``step_size / (1 + epoch)`` (normalized by the subgradient
-norm), with step halving until the objective does not increase, so the
-objective trace is non-increasing by construction.
+The solver is deterministic full-batch subgradient descent on the diminishing
+step schedule ``1 / (1 + epoch)`` (normalized by the subgradient norm), with
+step halving until the objective does not increase, so the objective trace is
+non-increasing by construction.
 
 The solver works on the list of the n(n-1)/2 ordered pairs (a > b), not on
 n x n matrices. The pair indices are built once per window length and cached
@@ -48,8 +49,6 @@ class RankPoolConfig:
     margin: float = 1.0  # required score gap between consecutive ranks
     reg_c: float = 1.0  # hinge-vs-regularizer trade-off
     max_epochs: int = 200
-    step_size: float = 1.0
-    smooth: bool = True  # running-mean smoothing before pair construction
 
     def __post_init__(self):
         # Each check is written so that NaN fails it.
@@ -59,8 +58,6 @@ class RankPoolConfig:
             raise ValueError("reg_c must be positive")
         if not self.max_epochs >= 1:
             raise ValueError("max_epochs must be >= 1")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
 
 
 def smooth_frames(frames: np.ndarray) -> np.ndarray:
@@ -112,7 +109,7 @@ def solve_rank_kernel(
         grad_norm = math.sqrt(grad @ grad)
         if grad_norm < 1e-12:
             break
-        eta = config.step_size / ((1.0 + epoch) * grad_norm)
+        eta = 1.0 / ((1.0 + epoch) * grad_norm)
         accepted = False
         for _ in range(60):
             d_try = d - eta * grad
@@ -133,18 +130,17 @@ def solve_rank_kernel(
 
 def rank_pool(segment: Segment, config: RankPoolConfig) -> np.ndarray:
     """The segment's ranking kernel ``d``: its 17-dimensional descriptor."""
-    frames = smooth_frames(segment.frames) if config.smooth else segment.frames
-    d, _ = solve_rank_kernel(frames, config)
+    d, _ = solve_rank_kernel(smooth_frames(segment.frames), config)
     return d
 
 
-def order_agreement(d: np.ndarray, segment: Segment, smooth: bool = True) -> float:
+def order_agreement(d: np.ndarray, segment: Segment) -> float:
     """Fraction of ordered frame pairs (a > b) scored in the right order.
 
     Scores are taken over the smoothed frames; only strict inequalities
     count, so the zero kernel scores 0.
     """
-    frames = smooth_frames(segment.frames) if smooth else segment.frames
+    frames = smooth_frames(segment.frames)
     n = frames.shape[0]
     if n < 2:
         raise SegmentTooShort("need at least two frames")

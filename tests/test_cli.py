@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -353,10 +354,9 @@ class TestDefaults:
     def test_switches_and_unset_values(self):
         args = build_parser().parse_args(
             ["score", "--clip", "c", "--gmm-dep", "d", "--gmm-ndep", "n", "--mlp", "m",
-             "--no-smooth", "--raw-ll", "--tau", "0.5"]
+             "--raw-ll", "--tau", "0.5"]
         )
         pipeline = _pipeline_from_args(args)
-        assert pipeline.rankpool.smooth is False
         assert pipeline.fusion.normalize_ll is False
         assert pipeline.fusion.tau == 0.5
         args = build_parser().parse_args(
@@ -366,8 +366,7 @@ class TestDefaults:
 
 
 # The pipeline flags of each subcommand, in usage and provenance order.
-POOLING = ["--window", "--stride", "--margin", "--reg-c", "--rank-epochs", "--step-size",
-           "--no-smooth"]
+POOLING = ["--window", "--stride", "--margin", "--reg-c", "--rank-epochs"]
 STAGE_FLAGS = {
     "fit-gmm": ["--components", "--em-iters", "--em-tol", "--variance-floor", "--n-init",
                 "--gmm-fit-frames", "--seed"],
@@ -377,9 +376,8 @@ STAGE_FLAGS = {
     "score": POOLING + ["--omega", "--tau", "--raw-ll"],
     "loocv": ["--window", "--stride", "--components", "--em-iters", "--em-tol",
               "--variance-floor", "--n-init", "--gmm-fit-frames", "--margin", "--reg-c",
-              "--rank-epochs", "--step-size", "--no-smooth", "--hidden1", "--hidden2",
-              "--dropout", "--learning-rate", "--mlp-epochs", "--batch-size", "--omega",
-              "--tau", "--raw-ll", "--seed"],
+              "--rank-epochs", "--hidden1", "--hidden2", "--dropout", "--learning-rate",
+              "--mlp-epochs", "--batch-size", "--omega", "--tau", "--raw-ll", "--seed"],
     "sweep": [],
     "report": [],
 }
@@ -405,7 +403,18 @@ class TestStageFlags:
         assert pipeline_flags(command) == STAGE_FLAGS[command]
 
     def test_settable_pipeline_values(self):
-        assert sum(len(pipeline_flags(c)) for c in STAGE_FLAGS) == 54
+        assert sum(len(pipeline_flags(c)) for c in STAGE_FLAGS) == 48
+
+    def test_readme_flag_table_names_only_flags_of_its_subcommand(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([\w-]+)` \|(.*)$", readme, flags=re.MULTILINE)
+        assert [command for command, _ in rows] == [
+            "fit-gmm", "pool", "train-mlp", "score", "loocv", "synth"
+        ]
+        for command, row in rows:
+            flags = pipeline_flags(command)
+            for flag in re.findall(r"--[\w-]+", row):
+                assert flag in flags, f"README lists {flag} for {command}"
 
     def test_other_stage_flag_is_usage_error_without_outputs(self, tmp_path, capsys):
         corpus = synth(tmp_path)

@@ -25,6 +25,7 @@ from aufusion.ingest import (
     emit_au_csv,
     parse_au_csv,
     pooled_class_frames,
+    read_clip,
     read_corpus,
     segment_clip,
     synth_corpus,
@@ -236,15 +237,13 @@ class TestParseMatchesReference:
     @pytest.mark.parametrize("case", ["emitted-synthetic-0", "non-au-columns", "crlf", "nan"])
     def test_file_and_lines(self, tmp_path, case):
         # A file opened in text mode turns CRLF into LF, so the CRLF file
-        # takes the C reader; a list of lines takes the loop.
+        # takes the C reader.
         path = tmp_path / "clip.csv"
         path.write_bytes(PARSE_CASES[case]().encode("utf-8"))
         with open(path, encoding="utf-8") as fh:
             expected = outcome(reference_parse, fh)
         with open(path, encoding="utf-8") as fh:
             assert outcome(parse_au_csv, fh) == expected
-        with open(path, encoding="utf-8") as fh:
-            assert outcome(parse_au_csv, list(fh)) == expected
 
     def test_cases_reach_both_readers(self, monkeypatch):
         parsed_by_c_reader = []
@@ -411,6 +410,21 @@ class TestCorpusRoundTrip:
         where = re.escape(str(clip))
         with pytest.raises(ParseError, match=f"^{where}: line 5, column 'AU01_r': 'inf'"):
             read_corpus(tmp_path)
+
+    @pytest.mark.parametrize("line, byte", [(1502, 11), (1, 3)], ids=["body", "header"])
+    def test_invalid_utf8_names_file_line_and_byte(self, tmp_path, line, byte):
+        # The text decoder reads the file in chunks; the message must place
+        # the byte in the file, not in the chunk.
+        clip = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=2000, seed=9)).clips[0]
+        raw = bytearray(emit_au_csv(clip).encode("utf-8"))
+        line_start = sum(len(text) + 1 for text in raw.split(b"\n")[: line - 1])
+        raw[line_start + byte - 1] = 0xFF
+        path = tmp_path / "clip.csv"
+        path.write_bytes(bytes(raw))
+        where = re.escape(str(path))
+        message = f"^{where}: not UTF-8 text: line {line}, byte {byte}: invalid start byte"
+        with pytest.raises(ParseError, match=message):
+            read_clip(path, "P001")
 
     @pytest.mark.parametrize(
         "edit, message",

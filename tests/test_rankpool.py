@@ -66,7 +66,7 @@ def reference_solve(frames, config):
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < 1e-12:
             return d, trace, "zero gradient"
-        eta = config.step_size / ((1.0 + epoch) * grad_norm)
+        eta = 1.0 / ((1.0 + epoch) * grad_norm)
         for _ in range(60):
             d_try = d - eta * grad
             scores_try = v @ d_try
@@ -179,7 +179,7 @@ class TestPoolClip:
 
 
 class TestSolver:
-    @pytest.mark.parametrize("field", ["margin", "reg_c", "max_epochs", "step_size"])
+    @pytest.mark.parametrize("field", ["margin", "reg_c", "max_epochs"])
     def test_nan_setting_rejected(self, field):
         with pytest.raises(ValueError):
             RankPoolConfig(**{field: float("nan")})
@@ -258,36 +258,37 @@ class TestPairListSolver:
 
     @pytest.mark.parametrize("n", [2, 3, 10, 57, 150, 300])
     @pytest.mark.parametrize(
-        "config",
+        "config, smooth",
         [
-            RankPoolConfig(),
-            RankPoolConfig(smooth=False),
-            RankPoolConfig(margin=0.25, reg_c=3.0, step_size=0.5, max_epochs=37),
-            RankPoolConfig(margin=2.0, reg_c=0.05, step_size=4.0, max_epochs=400, smooth=False),
+            (RankPoolConfig(), True),
+            (RankPoolConfig(), False),
+            (RankPoolConfig(margin=0.25, reg_c=3.0, max_epochs=37), True),
+            (RankPoolConfig(margin=2.0, reg_c=0.05, max_epochs=400), False),
         ],
         ids=["default", "unsmoothed", "tight", "loose"],
     )
-    def test_bit_identical_to_matrix_reference(self, n, config):
+    def test_bit_identical_to_matrix_reference(self, n, config, smooth):
         frames = drifting_frames(n, seed=n)
-        v = smooth_frames(frames) if config.smooth else frames
+        v = smooth_frames(frames) if smooth else frames
         d, trace = solve_rank_kernel(v, config)
         d_ref, trace_ref, _ = reference_solve(v, config)
         assert np.array_equal(d, d_ref)
         assert trace == trace_ref
-        assert np.array_equal(rank_pool(Segment("w", 0, frames), config), d_ref)
+        if smooth:
+            assert np.array_equal(rank_pool(Segment("w", 0, frames), config), d_ref)
 
     @pytest.mark.parametrize("n", [10, 57, 150])
-    @pytest.mark.parametrize("step_size", [1.0, 2.0])
-    def test_integer_frames_put_pairs_on_the_margin(self, n, step_size):
-        # One integer-valued AU and a unit margin: the first normalized step
-        # sets that AU's weight to exactly step_size and the second moves it
-        # by half that, so after one of the first two epochs pairs whose
-        # frames differ by a small integer score a gap of exactly the margin,
-        # on the kink of their hinges.
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_integer_frames_put_pairs_on_the_margin(self, n, scale):
+        # One integer-valued AU scaled by 1 or 2, a unit margin and reg_c =
+        # 1 / scale**2: the first normalized step sets that AU's weight to
+        # exactly 1 and the second moves it by half that, so after one of the
+        # first two epochs pairs whose frames differ by a small integer score
+        # a gap of exactly the margin, on the kink of their hinges.
         rng = np.random.default_rng(n)
         frames = np.zeros((n, AU_COUNT))
-        frames[:, 0] = np.cumsum(rng.integers(-1, 3, n))
-        config = RankPoolConfig(margin=1.0, step_size=step_size, smooth=False)
+        frames[:, 0] = scale * np.cumsum(rng.integers(-1, 3, n))
+        config = RankPoolConfig(margin=1.0, reg_c=1.0 / scale**2)
         d, trace = solve_rank_kernel(frames, config)
         d_ref, trace_ref, _ = reference_solve(frames, config)
         assert np.array_equal(d, d_ref)
@@ -311,10 +312,14 @@ class TestPairListSolver:
     def test_line_search_failure_exit(self):
         # After two epochs both consecutive-frame pairs sit exactly at the
         # margin, on the kink of their hinges: the subgradient counts them as
-        # inactive, and every trial step along it raises the objective.
+        # inactive, and every trial step along it raises the objective. The
+        # frames are scaled by 64 and reg_c by 1 / 64**2 (exact powers of two):
+        # the unit steps then move the kernel as far, relative to the frames,
+        # as steps 64 times larger would on the unscaled frames; no small
+        # unscaled window reaching this exit is known.
         frames = np.zeros((3, AU_COUNT))
-        frames[:, :2] = [[0.5, 1.0], [1.5, 1.0], [2.5, 1.0]]
-        config = RankPoolConfig(margin=0.5, step_size=64.0)
+        frames[:, :2] = 64.0 * np.array([[0.5, 1.0], [1.5, 1.0], [2.5, 1.0]])
+        config = RankPoolConfig(margin=0.5, reg_c=1.0 / 4096)
         d, trace = solve_rank_kernel(frames, config)
         d_ref, trace_ref, reason = reference_solve(frames, config)
         assert reason == "line search failed"
