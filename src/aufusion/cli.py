@@ -66,7 +66,8 @@ _PIPELINE_FLAGS = (
     (MIXTURE, "--components", "em", "n_components", "mixture components per class"),
     (MIXTURE, "--em-iters", "em", "max_iters", "max EM iterations"),
     (MIXTURE, "--em-tol", "em", "tol", "relative improvement stop"),
-    (MIXTURE, "--variance-floor", "em", "variance_floor", "floor on every component variance"),
+    (MIXTURE, "--variance-floor", "em", "variance_floor",
+     "floor on every component variance (> 0)"),
     (MIXTURE, "--n-init", "em", "n_init", "EM restarts"),
     (MIXTURE, "--gmm-fit-frames", "", "gmm_fit_frames", "cap on pooled frames per class for EM"),
     (POOLING, "--margin", "rankpool", "margin", "required rank score gap"),

@@ -4,7 +4,9 @@ One mixture is trained per class on the pooled frames of that class's
 training clips. A test clip is scored by its log-likelihood under each
 mixture; the clip-level decision is the sign of the likelihood gap
 (ties go to non-depressed). All per-frame mixture densities are evaluated
-through log-sum-exp, so long clips never underflow.
+through log-sum-exp, so long clips never underflow. EM floors every
+component variance at ``EmConfig.variance_floor``, which must be positive,
+so a constant feature column cannot collapse a component.
 
 One kernel, ``_e_step``, evaluates every density. It works on the centered
 block ``B = [(x - c)^2, x - c]`` (``2 * dim`` rows, one column per frame) and
@@ -38,10 +40,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 FORMAT_VERSION = 1
 
 
-class DegenerateData(ValueError):
-    """A feature column is constant and no variance floor is in effect."""
-
-
 @dataclass(frozen=True)
 class EmConfig:
     n_components: int = 32
@@ -57,8 +55,8 @@ class EmConfig:
             raise ValueError("n_components must be >= 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not self.variance_floor >= 0:
-            raise ValueError("variance_floor must be nonnegative")
+        if not self.variance_floor > 0:
+            raise ValueError("variance_floor must be positive")
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
         if not self.n_init >= 1:
@@ -167,19 +165,12 @@ def _frame_log_densities(model: GmmModel, frames: np.ndarray) -> np.ndarray:
     return np.concatenate([row_ll for _, row_ll, _ in chunks])
 
 
-def log_density(model: GmmModel, frame: np.ndarray) -> float:
-    """Log of the mixture density at one point."""
+def density(model: GmmModel, frame: np.ndarray) -> float:
+    """Mixture density sum_k w_k N(frame | mu_k, diag var_k)."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape != (model.dim,):
         raise ValueError(f"expected a {model.dim}-vector, got shape {frame.shape}")
-    if not np.isfinite(frame).all():
-        raise ValueError("frame must be finite")
-    return float(_frame_log_densities(model, frame[None, :])[0])
-
-
-def density(model: GmmModel, frame: np.ndarray) -> float:
-    """Mixture density sum_k w_k N(frame | mu_k, diag var_k)."""
-    return math.exp(log_density(model, frame))
+    return math.exp(log_likelihood(model, frame[None, :]))
 
 
 def log_likelihood(model: GmmModel, frames: np.ndarray) -> float:
@@ -194,6 +185,8 @@ def log_likelihood(model: GmmModel, frames: np.ndarray) -> float:
         raise ValueError(f"expected an (m, {model.dim}) matrix, got {frames.shape}")
     if frames.shape[0] < 1:
         raise ValueError("need at least one frame")
+    if not np.isfinite(frames).all():
+        raise ValueError("frames must be finite")
     return math.fsum(_frame_log_densities(model, frames))
 
 
@@ -229,7 +222,7 @@ def _em_single_run(
 
     weights = np.full(k, 1.0 / k)
     rel_means = _kmeanspp_means(frames, k, rng) - center
-    data_var = np.maximum(frames.var(axis=0), floor if floor > 0 else 1e-12)
+    data_var = np.maximum(frames.var(axis=0), floor)
     variances = np.tile(data_var, (k, 1))
 
     def evaluate():
@@ -260,10 +253,6 @@ def _em_single_run(
         variances = np.where(alive[:, None], new_vars, variances)
         weights = np.where(alive, nk / m, np.finfo(np.float64).tiny)
         weights = weights / weights.sum()
-        if floor <= 0 and not (variances > 0).all():
-            raise DegenerateData(
-                "component variance collapsed to zero with variance_floor=0"
-            )
         new_ll, nk, moments = evaluate()
         trace.append(new_ll)
         converged = new_ll - ll < config.tol * abs(ll)
@@ -295,14 +284,6 @@ def fit_em(
         )
     if not np.isfinite(frames).all():
         raise ValueError("frames must be finite")
-    if (
-        config.variance_floor == 0
-        and config.n_components > 1
-        and (frames.var(axis=0) == 0).any()
-    ):
-        raise DegenerateData(
-            "a feature column is constant; set a positive variance_floor"
-        )
 
     center = frames.mean(axis=0)
     block = _centered_block(frames, center)

@@ -173,11 +173,11 @@ def _is_au_column(name: str) -> bool:
 
 
 def parse_au_csv(
-    source: str | TextIO,
+    source: TextIO,
     participant_id: str = "clip",
     label: Label | None = None,
 ) -> AUClip:
-    """Read one clip from CSV text: a string or a text file.
+    """Read one clip from a CSV text file, such as an open file or a StringIO.
 
     The header must name exactly 17 AU intensity columns; other columns are
     ignored. Column order in the file is preserved in the frame matrix.
@@ -190,8 +190,6 @@ def parse_au_csv(
     whitespace-only and comma-only rows, and raises ``ParseError`` naming the
     bad cell's line and column.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
     try:
         header = next(csv.reader(source))
     except StopIteration:
@@ -271,8 +269,8 @@ def read_clip(path: str | Path, participant_id: str, label: Label | None = None)
 def emit_au_csv(clip: AUClip) -> str:
     """Serialize a clip back to CSV with canonical AU column names.
 
-    Values are written with shortest round-trip precision, so
-    ``parse_au_csv(emit_au_csv(c))`` reproduces ``c.frames`` bit for bit.
+    Values are written with shortest round-trip precision, so ``parse_au_csv``
+    on the text reproduces ``c.frames`` bit for bit.
     Rows are joined as plain text: no name or float repr holds a comma, a
     quote or a line break, so the text equals the output of a ``csv.writer``
     with a newline line terminator byte for byte.

@@ -2,9 +2,10 @@
 
 Architecture is 17 -> H1 -> H2 -> 1 with rectifier hidden units, a logistic
 output, and inverted dropout (surviving activations scaled by 1/(1-rate))
-applied after each hidden activation during training only. Inputs are
-z-normalized with statistics computed from the training set and stored in
-the model, so held-out data never influences them.
+applied after each hidden activation during training only. Inference is
+the training pass with unit masks, so one forward pass serves both. Inputs
+are z-normalized with statistics computed from the training set and stored
+in the model, so held-out data never influences them.
 
 Training minimizes binary cross-entropy by mini-batch SGD and is
 deterministic given the config seed.
@@ -23,6 +24,9 @@ from .ingest import read_json
 FORMAT_VERSION = 1
 
 _PROB_EPS = 1e-15  # keep predicted probabilities strictly inside (0, 1)
+
+# Unit dropout masks: the deterministic pass. Multiplying by 1.0 is exact.
+_NO_DROPOUT = (1.0, 1.0)
 
 
 class SingleClassData(ValueError):
@@ -81,54 +85,40 @@ class MlpModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # Each element takes the branch whose exp cannot overflow.
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def _forward(params, x, masks=None):
+def _forward(params, x, masks=_NO_DROPOUT):
     """Hidden pre-activations, hidden activations after dropout, and the
     output probabilities of one pass over normalized inputs.
 
     ``masks`` are pre-scaled inverted-dropout masks for the two hidden
-    activations, or None for a deterministic pass.
+    activations; the default unit masks give the deterministic pass.
     """
     z1 = x @ params["w1"] + params["b1"]
-    a1 = np.maximum(z1, 0.0)
-    a1d = a1 * masks[0] if masks is not None else a1
+    a1d = np.maximum(z1, 0.0) * masks[0]
     z2 = a1d @ params["w2"] + params["b2"]
-    a2 = np.maximum(z2, 0.0)
-    a2d = a2 * masks[1] if masks is not None else a2
+    a2d = np.maximum(z2, 0.0) * masks[1]
     z3 = a2d @ params["w3"] + params["b3"]
     p = np.clip(_sigmoid(z3[:, 0]), _PROB_EPS, 1.0 - _PROB_EPS)
     return z1, a1d, z2, a2d, p
 
 
-def _forward_backward(params, x, y, masks=None):
-    """Mean binary cross-entropy and its parameter gradients on one batch,
-    with dropout ``masks`` as in ``_forward``."""
+def _forward_backward(params, x, y, masks=_NO_DROPOUT):
+    """Output probabilities and the parameter gradients of the mean binary
+    cross-entropy on one batch, with dropout ``masks`` as in ``_forward``."""
     z1, a1d, z2, a2d, p = _forward(params, x, masks)
-    n = x.shape[0]
-    loss = -float(np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-    dz3 = ((p - y) / n)[:, None]
+    dz3 = ((p - y) / x.shape[0])[:, None]
     grads = {"w3": a2d.T @ dz3, "b3": dz3.sum(axis=0)}
-    da2 = dz3 @ params["w3"].T
-    if masks is not None:
-        da2 = da2 * masks[1]
-    dz2 = da2 * (z2 > 0)
+    dz2 = (dz3 @ params["w3"].T) * masks[1] * (z2 > 0)
     grads["w2"] = a1d.T @ dz2
     grads["b2"] = dz2.sum(axis=0)
-    da1 = dz2 @ params["w2"].T
-    if masks is not None:
-        da1 = da1 * masks[0]
-    dz1 = da1 * (z1 > 0)
+    dz1 = (dz2 @ params["w2"].T) * masks[0] * (z1 > 0)
     grads["w1"] = x.T @ dz1
     grads["b1"] = dz1.sum(axis=0)
-    return loss, grads
+    return p, grads
 
 
 def loss_and_gradients(model: MlpModel, descriptors, labels):
@@ -136,7 +126,8 @@ def loss_and_gradients(model: MlpModel, descriptors, labels):
     inspection and gradient checking."""
     x = (np.asarray(descriptors, dtype=np.float64) - model.input_mean) / model.input_std
     y = np.asarray(labels, dtype=np.float64)
-    return _forward_backward(model.params(), x, y)
+    p, grads = _forward_backward(model.params(), x, y)
+    return -float(np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))), grads
 
 
 def train_mlp(descriptors, labels, config: TrainConfig) -> MlpModel:
@@ -176,20 +167,25 @@ def train_mlp(descriptors, labels, config: TrainConfig) -> MlpModel:
 
     n = xn.shape[0]
     keep = 1.0 - config.dropout
+    masks = _NO_DROPOUT
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            xb, yb = xn[idx], y[idx]
-            masks = None
+            b = len(idx)
             if config.dropout > 0.0:
+                # Both masks from one draw in C order: the same stream as one
+                # draw per mask.
+                kept = (rng.random(b * (config.hidden1 + config.hidden2)) < keep) / keep
+                split = b * config.hidden1
                 masks = (
-                    (rng.random((len(idx), config.hidden1)) < keep) / keep,
-                    (rng.random((len(idx), config.hidden2)) < keep) / keep,
+                    kept[:split].reshape(b, config.hidden1),
+                    kept[split:].reshape(b, config.hidden2),
                 )
-            _, grads = _forward_backward(params, xb, yb, masks)
+            _, grads = _forward_backward(params, xn[idx], y[idx], masks)
             for name, grad in grads.items():
-                params[name] -= config.learning_rate * grad
+                grad *= config.learning_rate
+                params[name] -= grad
 
     return MlpModel(**params, input_mean=mean, input_std=std)
 

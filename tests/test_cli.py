@@ -231,6 +231,17 @@ class TestModelCommands:
         assert fields[0] == "P001"
         assert fields[-1] in ("Depressed", "NonDepressed")
 
+    def test_zero_variance_floor_is_usage_error_without_outputs(self, workspace, capsys):
+        tmp_path, corpus, _, _, _ = workspace
+        out = tmp_path / "never"
+        code = main(
+            ["fit-gmm", "--corpus", str(corpus), "--out", str(out),
+             "--variance-floor", "0", *MIXTURE_FLAGS]
+        )
+        assert code == 2
+        assert "variance_floor must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReportCommand:
     def test_rerender_matches_original(self, tmp_path, capsys):

@@ -7,14 +7,12 @@ from scipy.integrate import quad
 
 from aufusion import gmm
 from aufusion.gmm import (
-    DegenerateData,
     EmConfig,
     GmmModel,
     density,
     fit_em,
     likelihood_ratio_decision,
     load_gmm,
-    log_density,
     log_likelihood,
     save_gmm,
     score_pair,
@@ -158,7 +156,7 @@ class TestDensity:
         for _ in range(10):
             x = 1e4 + rng.normal(0.0, 0.01, AU_COUNT)
             expected = extended_log_density(model, x)
-            assert log_density(model, x) == pytest.approx(expected, rel=1e-10)
+            assert log_likelihood(model, x[None, :]) == pytest.approx(expected, rel=1e-10)
 
 
 class TestLogLikelihood:
@@ -210,8 +208,14 @@ class TestLogLikelihood:
         rng = np.random.default_rng(11)
         model = random_model(rng, k=3, dim=4)
         frames = rng.normal(size=(2 * gmm._CHUNK + 7, 4))
-        per_frame = math.fsum(log_density(model, x) for x in frames)
+        per_frame = math.fsum(log_likelihood(model, x[None, :]) for x in frames)
         assert log_likelihood(model, frames) == pytest.approx(per_frame, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_frame_rejected(self, value):
+        model = GmmModel([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+        with pytest.raises(ValueError, match="frames must be finite"):
+            log_likelihood(model, [[0.5, 0.0], [value, 0.0]])
 
     def test_no_underflow_on_long_far_clips(self):
         model = GmmModel(np.ones(1), np.zeros((1, 3)), np.full((1, 3), 0.1))
@@ -265,11 +269,10 @@ class TestFitEm:
         model = fit_em(frames, EmConfig(n_components=2, seed=0, n_init=1))
         assert (model.variances >= 1e-4).all()
 
-    def test_degenerate_without_floor(self):
-        frames = np.zeros((50, 3))
-        frames[:, 0] = np.linspace(0, 1, 50)
-        with pytest.raises(DegenerateData):
-            fit_em(frames, EmConfig(n_components=2, variance_floor=0.0, seed=0, n_init=1))
+    @pytest.mark.parametrize("floor", [0.0, -1e-4])
+    def test_floor_must_be_positive(self, floor):
+        with pytest.raises(ValueError, match="variance_floor must be positive"):
+            EmConfig(variance_floor=floor)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(25)

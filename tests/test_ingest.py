@@ -45,39 +45,39 @@ def _csv_text(frames, names=None, extra_col=False):
 
 class TestParseAuCsv:
     def test_zero_matrix(self):
-        clip = parse_au_csv(_csv_text(np.zeros((2, AU_COUNT))))
+        clip = parse_au_csv(io.StringIO(_csv_text(np.zeros((2, AU_COUNT)))))
         assert clip.frames.shape == (2, AU_COUNT)
         assert (clip.frames == 0.0).all()
 
     def test_sixteen_columns_rejected(self):
         text = _csv_text(np.zeros((2, 16)), names=AU_COLUMN_NAMES[:16])
         with pytest.raises(MissingColumn):
-            parse_au_csv(text)
+            parse_au_csv(io.StringIO(text))
 
     def test_eighteen_columns_rejected(self):
         names = AU_COLUMN_NAMES + ["AU99_r"]
         text = _csv_text(np.zeros((2, 18)), names=names)
         with pytest.raises(ExtraColumn):
-            parse_au_csv(text)
+            parse_au_csv(io.StringIO(text))
 
     def test_non_numeric_cell(self):
         text = _csv_text(np.zeros((2, AU_COUNT))).replace("0.0", "oops", 1)
         with pytest.raises(ParseError):
-            parse_au_csv(text)
+            parse_au_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_names_line_and_column(self, cell):
         frames = np.zeros((3, AU_COUNT))
         frames[1, 4] = float(cell)
         with pytest.raises(ParseError, match=f"line 3, column '{AU_COLUMN_NAMES[4]}'.*{cell}"):
-            parse_au_csv(_csv_text(frames))
+            parse_au_csv(io.StringIO(_csv_text(frames)))
 
     def test_header_only(self):
         with pytest.raises(EmptyClip):
-            parse_au_csv(",".join(AU_COLUMN_NAMES) + "\n")
+            parse_au_csv(io.StringIO(",".join(AU_COLUMN_NAMES) + "\n"))
 
     def test_non_au_columns_ignored(self):
-        clip = parse_au_csv(_csv_text(np.ones((3, AU_COUNT)), extra_col=True))
+        clip = parse_au_csv(io.StringIO(_csv_text(np.ones((3, AU_COUNT)), extra_col=True)))
         assert clip.frames.shape == (3, AU_COUNT)
         assert (clip.frames == 1.0).all()
 
@@ -88,8 +88,8 @@ class TestParseAuCsv:
     def test_round_trip_random_file(self):
         rng = np.random.default_rng(42)
         frames = rng.uniform(0.0, 5.0, (100, AU_COUNT))
-        first = parse_au_csv(_csv_text(frames))
-        second = parse_au_csv(emit_au_csv(first))
+        first = parse_au_csv(io.StringIO(_csv_text(frames)))
+        second = parse_au_csv(io.StringIO(emit_au_csv(first)))
         np.testing.assert_array_equal(first.frames, second.frames)
 
 
@@ -232,7 +232,7 @@ class TestParseMatchesReference:
     @pytest.mark.parametrize("case", PARSE_CASES)
     def test_text(self, case):
         text = PARSE_CASES[case]()
-        assert outcome(parse_au_csv, text) == outcome(reference_parse, text)
+        assert outcome(parse_au_csv, io.StringIO(text)) == outcome(reference_parse, text)
 
     @pytest.mark.parametrize("case", ["emitted-synthetic-0", "non-au-columns", "crlf", "nan"])
     def test_file_and_lines(self, tmp_path, case):
@@ -255,9 +255,9 @@ class TestParseMatchesReference:
             return frames
 
         monkeypatch.setattr(np, "loadtxt", recording)
-        parse_au_csv(PARSE_CASES["non-au-columns"]())
+        parse_au_csv(io.StringIO(PARSE_CASES["non-au-columns"]()))
         assert parsed_by_c_reader == [(4, AU_COUNT)]
-        parse_au_csv(PARSE_CASES["quoted-list-between-au-columns"]())
+        parse_au_csv(io.StringIO(PARSE_CASES["quoted-list-between-au-columns"]()))
         assert len(parsed_by_c_reader) == 1
 
 

@@ -77,11 +77,13 @@ class TestTraining:
         for name, pa in a.params().items():
             np.testing.assert_array_equal(pa, b.params()[name])
 
-    def test_rate_zero_matches_plain_sgd_loop(self):
-        # Independent reference: a minimal no-dropout SGD loop sharing only
-        # the seed; the dropout-capable path at rate 0 must match it exactly.
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_matches_plain_sgd_loop(self, dropout):
+        # Independent reference: a minimal SGD loop sharing only the seed. It
+        # draws no masks at rate 0, so it consumes the stream of a plain
+        # no-dropout loop, and otherwise one draw per mask.
         x, y = two_clusters(n_per=12, seed=13)
-        config = TrainConfig(hidden1=5, hidden2=4, dropout=0.0, epochs=3, seed=17)
+        config = TrainConfig(hidden1=5, hidden2=4, dropout=dropout, epochs=3, seed=17)
         model = train_mlp(x, y, config)
 
         mean, std = x.mean(axis=0), x.std(axis=0)
@@ -98,22 +100,31 @@ class TestTraining:
             "b3": np.zeros(1),
         }
         yf = y.astype(float)
+        keep = 1.0 - dropout
         for _ in range(config.epochs):
             order = rng.permutation(len(y))
             for start in range(0, len(y), config.batch_size):
                 idx = order[start : start + config.batch_size]
                 xb, yb = xn[idx], yf[idx]
+                m1, m2 = np.ones((len(idx), 5)), np.ones((len(idx), 4))
+                if dropout > 0.0:
+                    m1 = (rng.random((len(idx), 5)) < keep) / keep
+                    m2 = (rng.random((len(idx), 4)) < keep) / keep
                 z1 = xb @ params["w1"] + params["b1"]
-                a1 = np.maximum(z1, 0.0)
+                a1 = np.maximum(z1, 0.0) * m1
                 z2 = a1 @ params["w2"] + params["b2"]
-                a2 = np.maximum(z2, 0.0)
+                a2 = np.maximum(z2, 0.0) * m2
                 z3 = a2 @ params["w3"] + params["b3"]
-                p = np.clip(1.0 / (1.0 + np.exp(-z3[:, 0])), 1e-15, 1 - 1e-15)
+                z = z3[:, 0]
+                p = np.empty_like(z)  # the stable logistic: exp of -|z| only
+                p[z >= 0] = 1.0 / (1.0 + np.exp(-z[z >= 0]))
+                p[z < 0] = np.exp(z[z < 0]) / (1.0 + np.exp(z[z < 0]))
+                p = np.clip(p, 1e-15, 1 - 1e-15)
                 dz3 = ((p - yb) / len(idx))[:, None]
                 gw3, gb3 = a2.T @ dz3, dz3.sum(axis=0)
-                dz2 = (dz3 @ params["w3"].T) * (z2 > 0)
+                dz2 = (dz3 @ params["w3"].T) * m2 * (z2 > 0)
                 gw2, gb2 = a1.T @ dz2, dz2.sum(axis=0)
-                dz1 = (dz2 @ params["w2"].T) * (z1 > 0)
+                dz1 = (dz2 @ params["w2"].T) * m1 * (z1 > 0)
                 gw1, gb1 = xb.T @ dz1, dz1.sum(axis=0)
                 for name, grad in (
                     ("w1", gw1), ("b1", gb1), ("w2", gw2),
