@@ -263,11 +263,15 @@ def cmd_loocv(args) -> int:
 
 _OMEGA_RANGE = "START:STOP:STEP"
 _MAX_STEPS = 10**6  # a longer range is a typo, not a sweep
+# Slack, in steps, for the rounding of (STOP - START) / STEP, which stays
+# below 1e-9 of a step up to _MAX_STEPS steps: a STOP on the grid is kept.
+_STEP_SLACK = 1e-6
 
 
 def _parse_omegas(text: str) -> list[float]:
     """A comma list of omegas, or one ``START:STOP:STEP`` item meaning
-    ``START + i * STEP`` for ``i = 0 .. round((STOP - START) / STEP)``."""
+    ``START + i * STEP`` for ``i = 0 .. floor((STOP - START) / STEP)``: no
+    omega lies past STOP by more than the slack of that division."""
     if ":" in text:
         try:
             start, stop, step = (float(part) for part in text.split(":"))
@@ -283,7 +287,7 @@ def _parse_omegas(text: str) -> list[float]:
             raise ValidationError(
                 f"bad omega range {text!r}: {_OMEGA_RANGE} takes more than {_MAX_STEPS} steps"
             )
-        return [start + i * step for i in range(round(steps) + 1)]
+        return [start + i * step for i in range(math.floor(steps + _STEP_SLACK) + 1)]
     values = [v for v in text.split(",") if v.strip()]
     if not values:
         raise ValidationError("need at least one omega value")
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--omegas",
         required=True,
         help=f"comma-separated omega values, or one {_OMEGA_RANGE} range"
-        " (START + i*STEP for i = 0 .. round((STOP - START) / STEP))",
+        " (START + i*STEP for i = 0 .. floor((STOP - START) / STEP))",
     )
     p.add_argument("--out", default=None, help="optional table output path")
 
@@ -396,6 +400,23 @@ def _config_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_type_error(action: argparse.Action, value) -> str | None:
+    """What the flag of ``action`` takes, if a config value of its key could
+    not come from that flag; None if it could."""
+    nullable = action.default is None and not action.required
+    if isinstance(action, argparse._StoreTrueAction):  # noqa: SLF001
+        ok, expected = isinstance(value, bool), "true or false"
+    elif action.type is int:
+        ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif action.type is float:
+        ok, expected = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, expected = isinstance(value, str), "a string"
+    if ok or (value is None and nullable):
+        return None
+    return expected + (" or null" if nullable else "")
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):
     """Load ``--config`` JSON (if any) as subcommand defaults; flags win."""
     path = _config_parser().parse_known_args(argv)[0].config
@@ -404,10 +425,22 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):
     subparser = parser._subparsers._group_actions[0].choices.get(argv[0])  # noqa: SLF001
     if subparser is None:
         raise ValidationError("--config must come after the subcommand name")
-    values = read_json(_require_file(path, "config file"))
-    unknown = set(values) - {a.dest for a in subparser._actions}  # noqa: SLF001
+    path = _require_file(path, "config file")
+    values = read_json(path)
+    actions = {
+        a.dest: a
+        for a in subparser._actions  # noqa: SLF001
+        if isinstance(a, (argparse._StoreAction, argparse._StoreTrueAction))  # noqa: SLF001
+        and a.dest != "config"
+    }
+    unknown = set(values) - set(actions)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in values.items():
+        expected = _config_type_error(actions[key], value)
+        if expected:
+            found = json.dumps(value)
+            raise ValidationError(f"{path}: key {key!r}: expected {expected}, found {found}")
     subparser.set_defaults(**values)
     for action in subparser._actions:  # noqa: SLF001
         if action.dest in values:

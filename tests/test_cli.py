@@ -162,6 +162,19 @@ class TestSweepCommand:
         assert from_range.count("\n") == 1 + 20001
 
     @pytest.mark.parametrize(
+        "text, count",
+        [("0:3.5:1", 4), ("0:2.5:1", 3), ("0:1:0.1", 11), ("0:0.3:0.1", 4), ("1:1:0.5", 1),
+         ("0:0.99:0.5", 2)],
+    )
+    def test_omega_range_stops_at_stop(self, run_dir, capsys, text, count):
+        code = main(["sweep", "--report", str(run_dir / "report.json"), "--omegas", text])
+        assert code == 0
+        omegas = [float(line.split("\t")[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+        start, stop, step = (float(x) for x in text.split(":"))
+        assert omegas == [start + i * step for i in range(count)]
+        assert omegas[-1] <= stop + 1e-9 * step
+
+    @pytest.mark.parametrize(
         "text", ["0:1", "0:1:x", "nan:1:0.5", "0:inf:0.5", "0:1:0", "0:1:-0.5", "1:0:0.5",
                  "0:1e300:1e-300", "0:1,2"]
     )
@@ -322,6 +335,55 @@ class TestConfigFile:
         code = main(["synth", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 2
         assert f"error: {config}: Expecting property name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, values, key, expected",
+        [
+            ("pool", {"rank_epochs": 2.5}, "rank_epochs", "an integer, found 2.5"),
+            ("pool", {"window": 150.0}, "window", "an integer, found 150.0"),
+            ("pool", {"window": True}, "window", "an integer, found true"),
+            ("fit-gmm", {"gmm_fit_frames": 1.5}, "gmm_fit_frames", "an integer or null, found 1.5"),
+            ("pool", {"margin": "1"}, "margin", 'a number, found "1"'),
+            ("score", {"raw_ll": "yes"}, "raw_ll", 'true or false, found "yes"'),
+            ("pool", {"stride": None}, "stride", "an integer, found null"),
+            ("pool", {"corpus": 3}, "corpus", "a string, found 3"),
+        ],
+        ids=["int-float", "int-whole-float", "int-bool", "nullable-int", "float-string",
+             "switch-string", "null-without-none-default", "path-number"],
+    )
+    def test_value_of_the_wrong_type_is_usage_error_naming_file_and_key(
+        self, tmp_path, capsys, command, values, key, expected
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        required = {
+            "pool": ["--corpus", "c"],
+            "fit-gmm": ["--corpus", "c"],
+            "score": ["--clip", "c.csv", "--gmm-dep", "d", "--gmm-ndep", "n", "--mlp", "m"],
+        }[command]
+        code = main([command, "--config", str(config), *required, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}: key {key!r}: expected {expected}\n"
+        assert not out.exists()
+
+    def test_values_a_flag_could_give_are_taken(self, tmp_path):
+        corpus = synth(tmp_path, n=2, frames=300)
+        config = tmp_path / "config.json"
+        # An integer for a float flag works as that flag would.
+        config.write_text(json.dumps({"margin": 1, "reg_c": 1.0, "window": 150}))
+        out = tmp_path / "descriptors.tsv"
+        argv = ["pool", "--config", str(config), "--corpus", str(corpus), "--out", str(out)]
+        assert main(argv) == 0
+        flags = tmp_path / "flags.tsv"
+        assert main(["pool", "--corpus", str(corpus), "--out", str(flags)]) == 0
+        assert out.read_bytes() == flags.read_bytes()
+        # null where the default is None.
+        config.write_text(json.dumps({"gmm_fit_frames": None, "n_init": 1, "components": 2,
+                                      "em_iters": 3}))
+        models = tmp_path / "models"
+        assert main(["fit-gmm", "--config", str(config), "--corpus", str(corpus),
+                     "--out", str(models)]) == 0
 
 
 SUBCOMMANDS = ["synth", "fit-gmm", "pool", "train-mlp", "score", "loocv", "sweep", "report"]

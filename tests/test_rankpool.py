@@ -4,11 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aufusion import rankpool
 from aufusion.ingest import AU_COUNT, AUClip, Segment, SynthConfig, synth_corpus
 from aufusion.rankpool import (
     RankPoolConfig,
     SegmentTooShort,
+    _pair_distances,
     _pair_indices,
+    _reach,
     order_agreement,
     pool_clip,
     rank_pool,
@@ -332,3 +335,130 @@ class TestPairListSolver:
         assert len(ia) == 150 * 149 // 2
         assert (ia > ib).all()
         assert not ia.flags.writeable and not ib.flags.writeable
+
+
+def synth_window(seed):
+    """The first default-length window of a synthetic depressed clip."""
+    corpus = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=seed))
+    return corpus.clips[0].frames[:150]
+
+
+@pytest.fixture
+def screen_log(monkeypatch):
+    """Each screen's (pairs in, pairs kept), recorded around ``_screen``."""
+    log = []
+    screen = rankpool._screen
+
+    def recording(diffs, dist, radius, limit):
+        keep = screen(diffs, dist, radius, limit)
+        log.append((len(diffs), len(keep)))
+        return keep
+
+    monkeypatch.setattr(rankpool, "_screen", recording)
+    return log
+
+
+class TestPairScreening:
+    """Screening drops pairs and leaves every kernel and trace unchanged."""
+
+    @pytest.mark.parametrize("source", ["synth", "drifting"])
+    @pytest.mark.parametrize("max_epochs", [10, 37, 200, 2000])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    def test_bit_identical_to_matrix_reference_with_pairs_dropped(
+        self, screen_log, source, max_epochs, scale
+    ):
+        # Scaling the frames, the margin and 1 / reg_c together poses the
+        # same problem in other units: the kernels match the unscaled ones
+        # up to rounding, and the bound's slack is exercised at every scale.
+        frames = synth_window(7) if source == "synth" else drifting_frames(150, seed=11)
+        v = smooth_frames(frames * scale)
+        config = RankPoolConfig(margin=scale, reg_c=1.0 / scale, max_epochs=max_epochs)
+        d, trace = solve_rank_kernel(v, config)
+        d_ref, trace_ref, _ = reference_solve(v, config)
+        assert np.array_equal(d, d_ref)
+        assert trace == trace_ref
+        assert sum(before - kept for before, kept in screen_log) > 0
+
+    def test_bound_is_attained_by_a_reversing_kernel(self, screen_log):
+        # One moving AU, so the kernel moves on a line. It steps to 1, then
+        # back by 1/2 and 1/3: after the screen at epoch 1 it moves the full
+        # reach[1] = 1/2 + 1/3 toward the pairs the screen dropped. On this
+        # window a radius even 1e-4 smaller drops a pair that turns active
+        # again, so the kernel would differ.
+        frames = np.zeros((150, AU_COUNT))
+        frames[:, 0] = np.cumsum(np.random.default_rng(0).normal(size=150))
+        v = smooth_frames(frames)
+        config = RankPoolConfig(margin=0.3, max_epochs=3)
+        path = [solve_rank_kernel(v, replace(config, max_epochs=t))[0][0] for t in (1, 2, 3)]
+        assert path == pytest.approx([1.0, 0.5, 1.0 / 6.0], rel=1e-12)
+        screen_log.clear()
+        d, trace = solve_rank_kernel(v, config)
+        d_ref, trace_ref, _ = reference_solve(v, config)
+        assert np.array_equal(d, d_ref)
+        assert trace == trace_ref
+        assert sum(before - kept for before, kept in screen_log) > 0
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e6])
+    def test_default_config_on_scaled_frames(self, scale):
+        v = smooth_frames(synth_window(5) * scale)
+        d, trace = solve_rank_kernel(v, CFG)
+        d_ref, trace_ref, _ = reference_solve(v, CFG)
+        assert np.array_equal(d, d_ref)
+        assert trace == trace_ref
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_frames_far_from_the_origin(self, screen_log, offset):
+        # The scores v @ d then cancel in every pair difference.
+        v = smooth_frames(drifting_frames(150, seed=3) + offset)
+        d, trace = solve_rank_kernel(v, CFG)
+        d_ref, trace_ref, _ = reference_solve(v, CFG)
+        assert np.array_equal(d, d_ref)
+        assert trace == trace_ref
+        assert sum(before - kept for before, kept in screen_log) > 0
+
+    def test_windows_of_a_clip_match_the_reference(self, screen_log):
+        clip = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=600, seed=21)).clips[1]
+        descs = pool_clip(clip, window=150, stride=150, config=CFG)
+        for row, start in zip(descs, range(0, 600, 150)):
+            d_ref, _, _ = reference_solve(smooth_frames(clip.frames[start : start + 150]), CFG)
+            assert np.array_equal(row, d_ref)
+        assert len({before for before, _ in screen_log}) > 1  # lists shrink screen by screen
+
+    def test_kept_pairs_stay_in_row_major_order(self, monkeypatch):
+        kept_lists = []
+        screen = rankpool._screen
+
+        def recording(diffs, dist, radius, limit):
+            keep = screen(diffs, dist, radius, limit)
+            kept_lists.append(keep)
+            return keep
+
+        monkeypatch.setattr(rankpool, "_screen", recording)
+        solve_rank_kernel(smooth_frames(drifting_frames(150, seed=2)), CFG)
+        assert kept_lists
+        for keep in kept_lists:
+            assert (np.diff(keep) > 0).all()
+
+    def test_one_epoch_never_screens(self, screen_log):
+        solve_rank_kernel(smooth_frames(drifting_frames(150, seed=2)), replace(CFG, max_epochs=1))
+        assert screen_log == []
+
+    def test_reach_sums_the_remaining_step_bounds(self):
+        reach = _reach(37)
+        assert len(reach) == 38 and reach[37] == 0.0
+        for e in (0, 1, 20, 36):
+            assert reach[e] == pytest.approx(sum(1.0 / (1 + j) for j in range(e, 37)), rel=1e-14)
+        assert (np.diff(reach) < 0).all()
+        assert _reach(37) is reach and not reach.flags.writeable
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_pair_distances_bound_the_frame_distances(self, offset):
+        v = smooth_frames(drifting_frames(60, seed=9) + offset)
+        ia, ib = _pair_indices(60)
+        exact = np.sqrt(((v[ia] - v[ib]) ** 2).sum(axis=1))
+        dist = _pair_distances(v, ia, ib)
+        assert (dist >= exact).all()
+        # Loose only by the rounding slack, which is absolute: about
+        # sqrt(eps) times the centered frames' largest norm.
+        centered = np.sqrt(((v - v.mean(axis=0)) ** 2).sum(axis=1)).max()
+        assert (dist - exact <= 1e-6 * centered).all()
