@@ -71,8 +71,8 @@ _PIPELINE_FLAGS = (
     (MIXTURE, "--n-init", "em", "n_init", "EM restarts"),
     (MIXTURE, "--gmm-fit-frames", "", "gmm_fit_frames", "cap on pooled frames per class for EM"),
     (POOLING, "--margin", "rankpool", "margin", "required rank score gap"),
-    (POOLING, "--reg-c", "rankpool", "reg_c", "hinge trade-off"),
-    (POOLING, "--rank-epochs", "rankpool", "max_epochs", "max ranking-kernel solver epochs"),
+    (POOLING, "--reg-c", "rankpool", "reg_c", "squared-hinge trade-off"),
+    (POOLING, "--rank-epochs", "rankpool", "max_epochs", "cap on Newton iterations"),
     (CLASSIFIER, "--hidden1", "mlp", "hidden1", "first hidden layer width"),
     (CLASSIFIER, "--hidden2", "mlp", "hidden2", "second hidden layer width"),
     (CLASSIFIER, "--dropout", "mlp", "dropout", "dropout rate after each hidden layer"),

@@ -18,9 +18,8 @@ same IEEE operations in the same order, so they give the same decisions.
 ``fuse`` counts a clip's vote list, and ``refuse_record`` hands a cached
 record's counts to the rule with a scalar weight. ``sweep_omega`` hands each
 cached record to it once with the whole omega grid, keeps one count of correct
-decisions per omega, and returns a ``SweepTable``: two columns that hold the
-caller's omega floats and the n + 1 possible accuracy floats, shared between
-rows.
+decisions per omega, and returns a ``SweepTable``: the omega column and the
+correct counts, from which it derives the accuracies.
 """
 
 from __future__ import annotations
@@ -148,19 +147,35 @@ def refuse_record(record: Mapping, omega: float, base: FusionConfig) -> FusionRe
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Accuracy per omega, stored as two equally long columns; iterating
-    yields ``(omega, accuracy)`` pairs."""
+    """Accuracy per omega: a read-only float64 omega column, the read-only
+    count of correct decisions per omega (in the smallest unsigned dtype
+    that holds the record count) and the record count. Iterating yields
+    ``(omega, accuracy)`` pairs of floats; ``==`` compares the values."""
 
-    omegas: tuple[float, ...]
-    accuracies: tuple[float, ...]
+    omegas: np.ndarray
+    correct: np.ndarray
+    n_records: int
+
+    @property
+    def accuracies(self) -> list[float]:
+        return [count / self.n_records for count in self.correct.tolist()]
 
     def __iter__(self) -> Iterator[tuple[float, float]]:
-        return zip(self.omegas, self.accuracies)
+        return zip(self.omegas.tolist(), self.accuracies)
 
     def __len__(self) -> int:
         return len(self.omegas)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SweepTable):
+            return NotImplemented
+        return (
+            self.n_records == other.n_records
+            and np.array_equal(self.correct, other.correct)
+            and np.array_equal(self.omegas, other.omegas)
+        )
 
 
 def sweep_omega(
@@ -193,10 +208,9 @@ def sweep_omega(
         except (TypeError, ValueError) as exc:  # a bad label, count or null value
             raise ValueError(f"{where}: {exc}") from None
         checked.append((label, counts, int(record["n_frames"])))
-    column = tuple(float(omega) for omega in omegas)
-    grid = np.array(column, dtype=np.float64)
+    grid = np.array([float(omega) for omega in omegas], dtype=np.float64)
     _check_omega(grid)
-    correct = np.zeros(len(grid), dtype=np.intp)
+    correct = np.zeros(len(grid), dtype=np.min_scalar_type(len(records)))
     # A huge finite omega overflows to inf exactly as Python floats do.
     with np.errstate(over="ignore"):
         for label, counts, n_frames in checked:
@@ -205,7 +219,6 @@ def sweep_omega(
                 grid, base,
             )
             correct += depressed if label is Label.DEPRESSED else ~depressed
-    # Every accuracy is one of these n + 1 values; the table shares them
-    # rather than holding one float object per omega.
-    fractions = [count / len(records) for count in range(len(records) + 1)]
-    return SweepTable(column, tuple(fractions[count] for count in correct.tolist()))
+    grid.setflags(write=False)
+    correct.setflags(write=False)
+    return SweepTable(grid, correct, len(records))

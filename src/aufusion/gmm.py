@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ingest import AUClip, Label, read_json
+from .ingest import AUClip, Label, _require_integers, read_json
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -50,6 +50,7 @@ class EmConfig:
     n_init: int = 3
 
     def __post_init__(self):
+        _require_integers(self, "n_components", "max_iters", "seed", "n_init")
         # Each check is written so that NaN fails it.
         if not self.n_components >= 1:
             raise ValueError("n_components must be >= 1")

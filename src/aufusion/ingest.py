@@ -61,6 +61,15 @@ class Label(Enum):
     NONDEPRESSED = "NonDepressed"
 
 
+def _require_integers(config, *fields: str):
+    """Raise unless each named field of ``config`` holds an ``int`` (a bool
+    is not a count): the rule ``--config`` values of integer flags follow."""
+    for field in fields:
+        value = getattr(config, field)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{field} must be an integer, found {value!r}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     a.setflags(write=False)

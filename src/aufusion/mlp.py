@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import read_json
+from .ingest import _require_integers, read_json
 
 FORMAT_VERSION = 1
 
@@ -44,6 +44,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, "hidden1", "hidden2", "epochs", "batch_size", "seed")
         # Each check is written so that NaN fails it.
         if not (self.hidden1 >= 1 and self.hidden2 >= 1):
             raise ValueError("hidden sizes must be >= 1")

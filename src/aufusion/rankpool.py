@@ -4,7 +4,7 @@ Each window of frames is summarized by the weight vector ``d`` of a linear
 scorer trained so later frames score higher than earlier ones by at least a
 margin: minimize
 
-    0.5 * ||d||^2 + reg_c * sum_{a > b} max(0, margin - <d, v_a - v_b>)
+    f(d) = 0.5 * ||d||^2 + reg_c * sum_{a > b} max(0, margin - <d, v_a - v_b>)^2
 
 over all ordered frame pairs, where ``v_a`` is the running mean of the first
 ``a`` frames. The smoothing is always applied, as in Fernando et al.'s rank
@@ -12,31 +12,18 @@ pooling: it stabilizes the ordering signal. The minimizer encodes the
 segment's temporal evolution and becomes its 17-dimensional dynamic
 descriptor.
 
-The solver is deterministic full-batch subgradient descent on the diminishing
-step schedule ``1 / (1 + epoch)`` (normalized by the subgradient norm), with
-step halving until the objective does not increase, so the objective trace is
-non-increasing by construction.
-
-The solver works on the list of the n(n-1)/2 ordered pairs (a > b), not on
-n x n matrices. The pair indices are built once per window length and cached
-read-only, so every window of that length shares them. One evaluation builds
-the pair differences ``scores[a] - scores[b]`` in row-major order (repeating
-``scores[a]`` once per pair in row a), takes the indices of the pairs with
-``diff < margin`` as the active set, and sums ``margin - diff`` over them; the
-next subgradient counts the active indices per frame. The values and their
-order are those a masked lower triangle would give, so the kernels and
-objective traces equal those of the matrix formulation bit for bit.
-
-Pairs are screened safely (in the sense of Ogawa, Suzuki & Takeuchi, ICML
-2013): every trial step of epoch ``j`` has norm at most ``1 / (1 + j)``, so
-from epoch ``e`` on the kernel stays within ``reach[e] = sum_{j >= e} 1 / (1 +
-j)`` of where it is, and a pair's difference moves by at most ``reach[e]``
-times the distance between its two frames. A pair whose difference already
-exceeds the margin by more than that can never be active again, and a few
-times per run such pairs are dropped from the list. The kept list is still
-in row-major order and holds every pair that is ever active, so the active
-values, their order and their sum are unchanged: screening changes no kernel
-and no trace, only the work per evaluation.
+``f`` is piecewise quadratic and 1-strongly convex, and it is minimized by
+Newton's method (Chapelle & Keerthi, "Efficient algorithms for ranking with
+SVMs", Information Retrieval 2010). Over the active pairs (positive residual
+``margin - <d, v_a - v_b>``) the gradient is ``d - 2 reg_c V^T g``, ``g``
+the residuals summed per frame, and the Hessian is ``I + 2 reg_c V^T L V``,
+``L`` the Laplacian of the active pairs' graph, built from their n x n
+adjacency matrix. One 17 x 17 solve gives the direction and an exact line
+search the step; once the active set settles a step lands on the optimum.
+Everything else works on the list of the n(n-1)/2 ordered pairs (a > b),
+whose indices are cached read-only per window length. The frames are
+centered first, which leaves every pair difference as it is and keeps the
+scores small, so frames far from the origin lose no precision.
 """
 
 from __future__ import annotations
@@ -48,9 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import AU_COUNT, AUClip, Segment, _freeze, segment_clip
+from .ingest import AU_COUNT, AUClip, Segment, _freeze, _require_integers, segment_clip
 
-_EPS = float(np.finfo(np.float64).eps)
+_GRAD_TOL = 1e-9  # the gradient certificate's relative tolerance
+_LINE_PASSES = 64  # line-search passes before it settles for the step it has
 
 
 class SegmentTooShort(ValueError):
@@ -60,10 +48,11 @@ class SegmentTooShort(ValueError):
 @dataclass(frozen=True)
 class RankPoolConfig:
     margin: float = 1.0  # required score gap between consecutive ranks
-    reg_c: float = 1.0  # hinge-vs-regularizer trade-off
-    max_epochs: int = 200
+    reg_c: float = 1.0  # squared-hinge-vs-regularizer trade-off
+    max_epochs: int = 200  # cap on Newton iterations
 
     def __post_init__(self):
+        _require_integers(self, "max_epochs")
         # Each check is written so that NaN fails it.
         if not self.margin > 0:
             raise ValueError("margin must be positive")
@@ -90,136 +79,120 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _reach(max_epochs: int) -> np.ndarray:
-    """``reach[e] = sum_{j=e}^{max_epochs-1} 1 / (1 + j)``, the most the
-    kernel can move from epoch ``e`` on; ``reach[max_epochs] = 0``."""
-    tail = np.cumsum(1.0 / np.arange(max_epochs, 0, -1))  # smallest terms first
-    reach = np.append(tail[::-1], 0.0)
-    reach.setflags(write=False)
-    return reach
+def _pair_cells(n: int) -> np.ndarray:
+    """Flat index ``a * n + b`` of every ordered pair in an n x n array."""
+    ia, ib = _pair_indices(n)
+    cells = ia * n + ib
+    cells.setflags(write=False)
+    return cells
 
 
-def _pair_distances(v: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """An upper bound on ``||v[a] - v[b]||`` for every pair, from the Gram
-    matrix of the centered frames (one 17-term product per frame pair
-    instead of 17 gathered columns).
+def _line_search(r: np.ndarray, q: np.ndarray, dp: float, pp: float, two_c: float) -> float:
+    """The ``t > 0`` minimizing ``0.5 * ||d + t p||^2 + reg_c * sum max(0, r +
+    t q)^2``, given ``dp = <d, p>``, ``pp = <p, p>`` and the Newton direction
+    ``p`` of the pairs active at ``t = 0`` (their piece is minimal at 1).
 
-    Centering rounds each coordinate by at most one unit in the last place,
-    and the Gram entries, diagonal sums and the subtraction err by at most
-    ``40 * eps * max_a ||w_a||^2``; the ``256 * eps`` term added under the
-    square root covers both, so the bound holds however the squared
-    distance cancels.
+    The slope is piecewise linear and increasing. A Newton step from ``t``
+    solves the linear piece of the pairs active at ``t``; if the new point
+    has the same active pairs, it is the exact minimizer. A step that leaves
+    the bracket of the minimizer bisects the bracket instead.
     """
-    w = v - v.mean(axis=0)
-    gram = w @ w.T
-    sq = np.diagonal(gram)
-    sq_sum = sq[ia] + sq[ib]
-    sq_sum -= 2.0 * gram.ravel()[ia * v.shape[0] + ib]
-    sq_sum += 256.0 * _EPS * float(sq.max())
-    return np.sqrt(sq_sum)
-
-
-def _screen(diffs: np.ndarray, dist: np.ndarray, radius: float, limit: float) -> np.ndarray:
-    """Positions of the pairs to keep: ``diffs <= limit + dist * radius``.
-    The others stay above ``limit`` wherever the kernel moves within
-    ``radius``."""
-    bound = dist * radius
-    bound += limit
-    return (diffs <= bound).nonzero()[0]
+    rq, q2 = r * q, q * q
+    lo, hi, t = 0.0, math.inf, 1.0
+    solved = r > 0  # the active pairs t was solved on: the direction's own at t = 1
+    for _ in range(_LINE_PASSES):
+        z = q * t
+        z += r
+        active = z > 0
+        if solved is not None and np.array_equal(active, solved):
+            return t
+        curv = float(np.einsum("i,i->", q2, active))
+        slope = dp + t * pp + two_c * (float(np.einsum("i,i->", rq, active)) + t * curv)
+        lo, hi = (t, hi) if slope < 0.0 else (lo, t)
+        step = t - slope / (pp + two_c * curv)
+        if step == t:
+            return t
+        t, solved = (step, active) if lo < step < hi else (0.5 * (lo + hi), None)
+    return t
 
 
 def solve_rank_kernel(
     frames: np.ndarray, config: RankPoolConfig
 ) -> tuple[np.ndarray, list[float]]:
-    """Minimize the pairwise hinge objective over already-smoothed frames.
+    """Minimize ``f`` over already-smoothed frames by Newton's method.
 
-    Returns the kernel and the per-epoch objective trace (starting at the
-    zero kernel). The trace is non-increasing.
+    Returns the kernel and the objective per iteration from the zero kernel
+    (``reg_c * margin**2 * pairs``) on; the trace strictly decreases. The
+    solve stops at the first of:
 
-    Screening runs at the start of the epochs ``max_epochs // 2**k`` (k >=
-    1), where ``reach`` has fallen by about ``ln 2`` since the previous one,
-    and only once ``||d|| > reach[e]``: before that no pair's difference
-    ``<d, v_a - v_b> <= ||d|| * ||v_a - v_b||`` can clear the bound. A pair
-    is dropped when its computed difference exceeds
-    ``margin + tol + dist * radius``, with this floating-point slack
-    (``eps`` is the float64 machine epsilon, ``T = max_epochs``):
-
-    - ``radius = reach[e] * (1 + 2**-20 + T * eps * reach[0])``. A step's
-      norm rounds by about 13 ulps (``grad_norm`` and ``eta``), and each
-      accepted ``d - eta * grad`` adds at most ``eps / 2 * ||d|| <= eps / 2
-      * reach[0]``; over the at most ``T * reach[e]`` epochs left that is
-      within the ``T * eps * reach[0]`` share of ``reach[e]``. ``2**-20``
-      also covers the roundings of ``reach``'s sum (at most ``T`` ulps), of
-      the pair distances' square root and of the bound itself.
-    - ``dist`` bounds the pair's frame distance from above
-      (``_pair_distances``).
-    - ``tol = 64 * eps * (vmax * (||d|| + radius) + margin)``, with ``vmax``
-      the largest frame norm. A computed difference errs by at most ``18 *
-      eps * vmax * ||d||`` (two 17-term scores and one subtraction), at the
-      screen and at every later kernel, whose norm is at most ``||d|| +
-      radius``; the ``margin`` term covers rounding ``margin + tol``.
-
-    Frames with a non-finite norm are never screened.
+    - the gradient certificate ``||grad f(d)|| <= _GRAD_TOL * scale``; as
+      ``f`` is 1-strongly convex, ``||d - d*|| <= ||grad f(d)||``. ``scale``
+      is ``||d|| + 2 reg_c || |V|^T G ||``, ``G`` the active residuals summed
+      per frame without signs: the size of the terms the gradient sums, so
+      frames times ``s`` with ``reg_c / s**2`` give ``d / s`` in as many
+      iterations;
+    - a step that does not lower ``f`` (it is not taken). When ``reg_c``
+      times the squared frame differences is huge (about 1e12 for frames in
+      the millions at the default ``reg_c``), residual rounding keeps the
+      gradient above the certificate, and this rule ends the solve;
+    - ``max_epochs`` iterations.
     """
     v = np.asarray(frames, dtype=np.float64)
-    n = v.shape[0]
+    n, dim = v.shape
     if n < 2:
         raise SegmentTooShort("need at least two frames to rank")
+    w = v - v.mean(axis=0)
+    w_abs = np.abs(w)
     ia, ib = _pair_indices(n)
-    margin, reg_c, max_epochs = config.margin, config.reg_c, config.max_epochs
-    reach = _reach(max_epochs)
-    vmax = math.sqrt(float(np.einsum("ij,ij->i", v, v).max()))
-    screens = {max_epochs >> k for k in range(1, max_epochs.bit_length())}
-    if not math.isfinite(vmax):
-        screens = set()
-    slack = 1.0 + 2.0**-20 + max_epochs * _EPS * reach[0]
-    kept_a, kept_b, dist = ia, ib, None
-    per_row = np.arange(n)  # kept pairs per row: repeating scores[a] gathers scores[kept_a]
+    cells = _pair_cells(n)
+    per_row = np.arange(n)  # pairs per row: repeating x[a] gathers x[ia]
+    margin, reg_c = config.margin, config.reg_c
+    two_c = 2.0 * reg_c
 
-    def evaluate(d: np.ndarray, scores: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Objective at ``d``, the positions of the kept pairs whose hinge is
-        active, and the kept pairs' differences."""
-        diffs = scores.repeat(per_row)
-        diffs -= scores[kept_b]
-        active = (diffs < margin).nonzero()[0]
-        return 0.5 * float(d @ d) + reg_c * float((margin - diffs[active]).sum()), active, diffs
+    def drop(x: np.ndarray) -> np.ndarray:
+        """``x[b] - x[a]`` for every pair (a > b)."""
+        out = x[ib]
+        out -= x.repeat(per_row)
+        return out
 
-    d = np.zeros(v.shape[1])
-    f_curr, active, diffs = evaluate(d, v @ d)
+    def evaluate(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Every pair's residual, the positions and values of the positive
+        ones, and ``f(d)``."""
+        r = drop(w @ d)
+        r += margin
+        active = (r > 0).nonzero()[0]
+        hinge = r[active]
+        f = 0.5 * float(d @ d) + reg_c * float(np.einsum("i,i->", hinge, hinge))
+        return r, active, hinge, f
+
+    d = np.zeros(dim)
+    r, active, hinge, f_curr = evaluate(d)
     trace = [f_curr]
-
-    for epoch in range(max_epochs):
-        coef = np.bincount(kept_a[active], minlength=n) - np.bincount(kept_b[active], minlength=n)
-        if epoch in screens:
-            radius = reach[epoch] * slack
-            d_norm = math.sqrt(float(d @ d))
-            if d_norm > radius:
-                if dist is None:
-                    dist = _pair_distances(v, ia, ib)
-                tol = 64.0 * _EPS * (vmax * (d_norm + radius) + margin)
-                keep = _screen(diffs, dist, radius, margin + tol)
-                kept_a, kept_b, dist = kept_a[keep], kept_b[keep], dist[keep]
-                per_row = np.bincount(kept_a, minlength=n)
-        grad = d - reg_c * (v.T @ coef.astype(np.float64))
-        grad_norm = math.sqrt(grad @ grad)
-        if grad_norm < 1e-12:
+    for _ in range(config.max_epochs):
+        act_a, act_b = ia[active], ib[active]
+        into_a = np.bincount(act_a, hinge, minlength=n)
+        into_b = np.bincount(act_b, hinge, minlength=n)
+        grad = d - two_c * (w.T @ (into_a - into_b))
+        terms = np.linalg.norm(w_abs.T @ (into_a + into_b))
+        if np.linalg.norm(grad) <= _GRAD_TOL * (np.linalg.norm(d) + two_c * terms):
             break
-        eta = 1.0 / ((1.0 + epoch) * grad_norm)
-        accepted = False
-        for _ in range(60):
-            d_try = d - eta * grad
-            f_try, active_try, diffs_try = evaluate(d_try, v @ d_try)
-            if f_try <= f_curr:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
+        adjacency = np.zeros(n * n)
+        adjacency[cells[active]] = 1.0
+        cross = w.T @ (adjacency.reshape(n, n) @ w)
+        degree = np.bincount(act_a, minlength=n) + np.bincount(act_b, minlength=n)
+        hessian = (w.T * degree) @ w - cross - cross.T
+        hessian *= two_c
+        hessian.flat[:: dim + 1] += 1.0
+        p = np.linalg.solve(hessian, -grad)
+        if not float(grad @ p) < 0.0:
             break
-        improvement = f_curr - f_try
-        d, active, diffs, f_curr = d_try, active_try, diffs_try, f_try
+        t = _line_search(r, drop(w @ p), float(d @ p), float(p @ p), two_c)
+        d_try = d + t * p
+        r_try, active_try, hinge_try, f_try = evaluate(d_try)
+        if not f_try < f_curr:
+            break
+        d, r, active, hinge, f_curr = d_try, r_try, active_try, hinge_try, f_try
         trace.append(f_curr)
-        if improvement <= 1e-12 * (1.0 + abs(f_curr)):
-            break
     return d, trace
 
 

@@ -366,3 +366,22 @@ class TestJsonArtifactErrorsNameTheFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             load(path)
+
+    @pytest.mark.parametrize(
+        "loader, config_key, config",
+        [
+            ("gmm", "em_config", {"n_init": 1.5}),
+            ("mlp", "train_config", {"hidden1": 4.0}),
+        ],
+    )
+    def test_fractional_config_count_names_the_file(self, tmp_path, loader, config_key, config):
+        load, payload, _ = self.BAD_VALUES[loader]
+        payload = dict(payload, **{config_key: config})
+        if loader == "gmm":
+            payload.update(weights=[1.0], means=[[0.0]], variances=[[1.0]])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        (field, value), = config.items()
+        message = f"{field} must be an integer, found {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load(path)

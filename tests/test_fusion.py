@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from aufusion.fusion import (
@@ -192,16 +193,19 @@ class TestSweepOmega:
         with pytest.raises(ValueError, match=r"^record 4 \(P005\): 'Sad' is not a valid Label"):
             sweep_omega(records, [1.0])
 
-    def test_table_is_two_columns_of_pairs(self):
+    def test_table_is_an_omega_column_and_correct_counts(self):
         records = _records()
         omegas = [0.0, 1.0, 1e6]
         table = sweep_omega(records, omegas)
         assert len(table) == 3
         assert dict(table) == {0.0: 22 / 30, 1.0: table.accuracies[1], 1e6: 21 / 30}
-        assert list(table) == list(zip(table.omegas, table.accuracies))
+        assert list(table) == list(zip(omegas, table.accuracies))
+        assert table.n_records == 30
+        assert table.correct.tolist() == [22, round(30 * table.accuracies[1]), 21]
         same, other = sweep_omega(records, list(omegas)), sweep_omega(records, [0.0, 1.0])
         assert (table == same) is True
         assert (table == other) is False
+        assert (table == list(table)) is False
 
     @pytest.mark.parametrize(
         "n_dep, n_segments", [(10, 9), (-1, 9), (1, 0)], ids=["above", "negative", "empty"]
@@ -272,11 +276,14 @@ class TestCountFusionMatchesVoteLists:
             omegas += [rng.randint(0, 30) for _ in range(10)]
             table = sweep_omega(records, omegas, base)
             assert list(table) == reference_sweep(records, omegas, base)
-            # Float inputs are kept as the caller's objects, and the
-            # accuracies share the n + 1 possible float objects.
-            for given, kept in zip(omegas, table.omegas):
-                assert kept is given if isinstance(given, float) else kept == float(given)
-            assert len({id(accuracy) for accuracy in table.accuracies}) <= len(records) + 1
+            # The columns are read-only: float64 omegas with the caller's
+            # values, and counts in the smallest unsigned dtype that holds
+            # the record count.
+            assert table.omegas.dtype == np.float64 and not table.omegas.flags.writeable
+            assert table.omegas.tolist() == [float(omega) for omega in omegas]
+            assert table.correct.dtype == np.min_scalar_type(len(records))
+            assert not table.correct.flags.writeable
+            assert table.accuracies == [count / len(records) for count in table.correct.tolist()]
 
     def test_ties_at_the_default_threshold_resolve_nondepressed(self):
         rng = random.Random(3)

@@ -302,6 +302,12 @@ class TestFitEm:
         with pytest.raises(ValueError):
             EmConfig(**{field: math.nan})
 
+    @pytest.mark.parametrize("field", ["n_components", "max_iters", "seed", "n_init"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_count_must_be_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, found {value!r}$"):
+            EmConfig(**{field: value})
+
 
 class TestCenteredEm:
     """``fit_em`` against ``reference_em``: same iterations, same parameters."""

@@ -64,6 +64,12 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field", ["hidden1", "hidden2", "epochs", "batch_size", "seed"])
+    @pytest.mark.parametrize("value", [4.5, 4.0, True], ids=["fraction", "float", "bool"])
+    def test_count_must_be_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, found {value!r}$"):
+            TrainConfig(**{field: value})
+
     def test_single_class_rejected(self):
         x, _ = two_clusters(n_per=5)
         with pytest.raises(SingleClassData):

@@ -4,14 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aufusion import rankpool
 from aufusion.ingest import AU_COUNT, AUClip, Segment, SynthConfig, synth_corpus
 from aufusion.rankpool import (
     RankPoolConfig,
     SegmentTooShort,
-    _pair_distances,
+    _line_search,
+    _pair_cells,
     _pair_indices,
-    _reach,
     order_agreement,
     pool_clip,
     rank_pool,
@@ -41,50 +40,6 @@ def brute_force_agreement(weights, frames):
             if scores[a] > scores[b]:
                 good += 1
     return good / total
-
-
-def reference_solve(frames, config):
-    """The n x n matrix formulation of the solver; the oracle.
-
-    Returns the kernel, the objective trace and the reason the solver
-    stopped, so a test can show which exit a case takes.
-    """
-    v = np.asarray(frames, dtype=np.float64)
-    n = v.shape[0]
-
-    def objective(d, scores):
-        gaps = config.margin - (scores[:, None] - scores[None, :])  # gaps[a, b]
-        lower = np.tril(gaps, k=-1)  # pairs with a > b only
-        return 0.5 * float(d @ d) + config.reg_c * float(lower[lower > 0].sum())
-
-    d = np.zeros(v.shape[1])
-    scores = v @ d
-    f_curr = objective(d, scores)
-    trace = [f_curr]
-    strict_lower = np.tril(np.ones((n, n), dtype=bool), k=-1)
-    for epoch in range(config.max_epochs):
-        active = strict_lower & (scores[:, None] - scores[None, :] < config.margin)
-        coef = active.sum(axis=1) - active.sum(axis=0)
-        grad = d - config.reg_c * (v.T @ coef.astype(np.float64))
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < 1e-12:
-            return d, trace, "zero gradient"
-        eta = 1.0 / ((1.0 + epoch) * grad_norm)
-        for _ in range(60):
-            d_try = d - eta * grad
-            scores_try = v @ d_try
-            f_try = objective(d_try, scores_try)
-            if f_try <= f_curr:
-                break
-            eta *= 0.5
-        else:
-            return d, trace, "line search failed"
-        improvement = f_curr - f_try
-        d, scores, f_curr = d_try, scores_try, f_try
-        trace.append(f_curr)
-        if improvement <= 1e-12 * (1.0 + abs(f_curr)):
-            return d, trace, "no improvement"
-    return d, trace, "epoch cap"
 
 
 def drifting_frames(n, seed):
@@ -138,17 +93,21 @@ class TestOrderAgreement:
         assert order_agreement(np.zeros(AU_COUNT), seg) == 0.0
 
     def test_inactive_hinges_mean_full_agreement(self):
-        # Strong trade-off pushes every pairwise gap past the margin; once no
-        # hinge is active the ordering must be perfect.
+        # Under the squared hinge some pairs stay inside the margin, by a
+        # residual that shrinks as the trade-off grows: about 100 times per
+        # 100 times reg_c. The ordering stays perfect throughout.
         seg = ramp_segment(d=10, rise=5.0)
-        config = RankPoolConfig(reg_c=100.0, max_epochs=500)
-        d = rank_pool(seg, config)
         smoothed = smooth_frames(seg.frames)
-        scores = smoothed @ d
-        gaps = scores[:, None] - scores[None, :]
-        lower = np.tril_indices(len(scores), k=-1)
-        assert (config.margin - gaps[lower] <= 1e-9).all()  # all hinges inactive
-        assert order_agreement(d, seg) == 1.0
+        ia, ib = _pair_indices(10)
+        largest = []
+        for reg_c in (100.0, 10000.0):
+            config = RankPoolConfig(reg_c=reg_c)
+            d = rank_pool(seg, config)
+            scores = smoothed @ d
+            largest.append(float((config.margin - (scores[ia] - scores[ib])).max()))
+            assert order_agreement(d, seg) == 1.0
+        assert 0.0 < largest[1] < largest[0] < 0.01
+        assert 50.0 < largest[0] / largest[1] < 200.0
 
     def test_negated_kernel_flips_agreement(self):
         seg = ramp_segment()
@@ -186,6 +145,11 @@ class TestSolver:
     def test_nan_setting_rejected(self, field):
         with pytest.raises(ValueError):
             RankPoolConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("value", [2.5, 200.0, True], ids=["fraction", "float", "bool"])
+    def test_max_epochs_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="^max_epochs must be an integer, found "):
+            RankPoolConfig(max_epochs=value)
 
     def test_objective_non_increasing_on_random_segments(self):
         rng = np.random.default_rng(99)
@@ -256,8 +220,35 @@ class TestDescriptorDump:
             read_descriptors(path)
 
 
-class TestPairListSolver:
-    """The pair-list solver takes the same steps as the matrix formulation."""
+def synth_window(seed):
+    """The first default-length window of a synthetic depressed clip."""
+    corpus = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=seed))
+    return corpus.clips[0].frames[:150]
+
+
+def objective_and_gradient(d, v, config):
+    """The squared pairwise hinge objective and its gradient, from explicit
+    pair differences of the uncentered frames; the oracle's view."""
+    ia, ib = _pair_indices(len(v))
+    diffs = v[ia] - v[ib]
+    hinge = np.maximum(config.margin - diffs @ d, 0.0)
+    objective = 0.5 * float(d @ d) + config.reg_c * float(hinge @ hinge)
+    return objective, d - 2.0 * config.reg_c * (diffs.T @ hinge)
+
+
+def certificate_scale(d, v, config):
+    """The ``scale`` of the solver's gradient certificate at ``d``: ``||d||``
+    plus ``2 reg_c`` times the norm of the gradient's terms without signs."""
+    n = len(v)
+    ia, ib = _pair_indices(n)
+    w = v - v.mean(axis=0)
+    hinge = np.maximum(config.margin - (w[ia] - w[ib]) @ d, 0.0)
+    per_frame = np.bincount(ia, hinge, n) + np.bincount(ib, hinge, n)
+    return np.linalg.norm(d) + 2.0 * config.reg_c * np.linalg.norm(np.abs(w).T @ per_frame)
+
+
+class TestNewtonSolver:
+    """The solver reaches the optimum of the squared-hinge objective."""
 
     @pytest.mark.parametrize("n", [2, 3, 10, 57, 150, 300])
     @pytest.mark.parametrize(
@@ -265,69 +256,192 @@ class TestPairListSolver:
         [
             (RankPoolConfig(), True),
             (RankPoolConfig(), False),
-            (RankPoolConfig(margin=0.25, reg_c=3.0, max_epochs=37), True),
-            (RankPoolConfig(margin=2.0, reg_c=0.05, max_epochs=400), False),
+            (RankPoolConfig(margin=0.25, reg_c=3.0), True),
+            (RankPoolConfig(margin=2.0, reg_c=0.05), True),
         ],
         ids=["default", "unsmoothed", "tight", "loose"],
     )
-    def test_bit_identical_to_matrix_reference(self, n, config, smooth):
+    def test_matches_scipy_minimizer(self, n, config, smooth):
+        minimize = pytest.importorskip("scipy.optimize").minimize
         frames = drifting_frames(n, seed=n)
         v = smooth_frames(frames) if smooth else frames
         d, trace = solve_rank_kernel(v, config)
-        d_ref, trace_ref, _ = reference_solve(v, config)
-        assert np.array_equal(d, d_ref)
-        assert trace == trace_ref
         if smooth:
-            assert np.array_equal(rank_pool(Segment("w", 0, frames), config), d_ref)
+            assert np.array_equal(rank_pool(Segment("w", 0, frames), config), d)
+        ref = minimize(
+            objective_and_gradient, np.zeros(AU_COUNT), args=(v, config), jac=True,
+            method="L-BFGS-B", options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-12},
+        )
+        f, grad = objective_and_gradient(d, v, config)
+        _, grad_ref = objective_and_gradient(ref.x, v, config)
+        # f is 1-strongly convex, so each point lies within its gradient's
+        # norm of the optimum.
+        gap = np.linalg.norm(d - ref.x)
+        assert gap <= np.linalg.norm(grad) + np.linalg.norm(grad_ref) + 1e-12
+        assert gap <= 1e-6 * np.linalg.norm(ref.x)
+        assert f <= ref.fun * (1.0 + 1e-12)
+        assert trace[-1] == pytest.approx(f, rel=1e-12)
+
+    @pytest.mark.parametrize("source", ["synth-5", "synth-7", "drifting"])
+    def test_gradient_certificate_holds_within_a_few_iterations(self, source):
+        frames = drifting_frames(150, seed=11) if source == "drifting" else synth_window(
+            int(source[-1])
+        )
+        v = smooth_frames(frames)
+        d, trace = solve_rank_kernel(v, CFG)
+        assert len(trace) - 1 <= 10
+        _, grad = objective_and_gradient(d, v, CFG)
+        assert np.linalg.norm(grad) <= 1e-9 * certificate_scale(d, v, CFG)
+        assert np.linalg.norm(grad) <= 1e-9 * np.linalg.norm(d)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
+    def test_scaled_frames_with_scaled_trade_off_give_the_scaled_kernel(self, scale):
+        # Frames times s with reg_c / s**2 pose the same problem in other
+        # units: the optimum is d / s and the objective f / s**2, reached in
+        # as many iterations.
+        v = smooth_frames(synth_window(5))
+        d, trace = solve_rank_kernel(v, CFG)
+        d_scaled, trace_scaled = solve_rank_kernel(v * scale, RankPoolConfig(reg_c=1.0 / scale**2))
+        np.testing.assert_allclose(d_scaled * scale, d, rtol=0, atol=1e-12 * np.linalg.norm(d))
+        assert len(trace_scaled) == len(trace)
+        assert trace_scaled[-1] * scale**2 == pytest.approx(trace[-1], rel=1e-12)
+
+    def test_frames_scaled_by_a_million_with_the_default_trade_off(self):
+        # reg_c then weighs the hinge 1e12 times more than on unscaled frames,
+        # and the Hessian's condition number is about 1e12. The solve still
+        # stops before the cap, at the least-squares optimum of the pairs it
+        # leaves active, which leaves the same pairs active: the optimum.
+        v = smooth_frames(synth_window(5) * 1e6)
+        d, trace = solve_rank_kernel(v, CFG)
+        assert len(trace) - 1 < CFG.max_epochs
+        assert (np.diff(trace) < 0).all()
+        ia, ib = _pair_indices(len(v))
+        diffs = v[ia] - v[ib]
+        active = CFG.margin - diffs @ d > 0
+        # 0.5 ||x||^2 + reg_c ||margin - P x||^2 as one least-squares system,
+        # solved without forming the normal equations.
+        root = np.sqrt(2.0 * CFG.reg_c)
+        system = np.vstack([root * diffs[active], np.eye(AU_COUNT)])
+        target = np.concatenate([np.full(active.sum(), root * CFG.margin), np.zeros(AU_COUNT)])
+        d_active = np.linalg.lstsq(system, target, rcond=None)[0]
+        assert np.array_equal(CFG.margin - diffs @ d_active > 0, active)
+        np.testing.assert_allclose(d, d_active, rtol=0, atol=1e-10 * np.linalg.norm(d))
+
+    def test_frames_scaled_by_a_thousandth_with_the_default_trade_off(self):
+        # The hinge then weighs 1e6 times less than on unscaled frames: every
+        # pair stays active and the optimum is the least-squares solution.
+        v = smooth_frames(synth_window(5) * 1e-3)
+        d, trace = solve_rank_kernel(v, CFG)
+        assert len(trace) - 1 <= 10
+        _, grad = objective_and_gradient(d, v, CFG)
+        assert np.linalg.norm(grad) <= 1e-9 * certificate_scale(d, v, CFG)
+        ia, ib = _pair_indices(len(v))
+        diffs = v[ia] - v[ib]
+        assert (CFG.margin - diffs @ d > 0).all()
+        root = np.sqrt(2.0 * CFG.reg_c)
+        system = np.vstack([root * diffs, np.eye(AU_COUNT)])
+        target = np.concatenate([np.full(len(diffs), root * CFG.margin), np.zeros(AU_COUNT)])
+        d_ls = np.linalg.lstsq(system, target, rcond=None)[0]
+        np.testing.assert_allclose(d, d_ls, rtol=0, atol=1e-9 * np.linalg.norm(d))
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_frames_far_from_the_origin(self, offset):
+        # Every pair difference, and so f, ignores a common offset; the
+        # solver centers the frames, so the offset costs no precision.
+        v = smooth_frames(drifting_frames(150, seed=3))
+        d, trace = solve_rank_kernel(v, CFG)
+        d_far, trace_far = solve_rank_kernel(v + offset, CFG)
+        np.testing.assert_allclose(d_far, d, rtol=0, atol=1e-9 * np.linalg.norm(d))
+        assert len(trace_far) == len(trace)
+        assert trace_far[-1] == pytest.approx(trace[-1], rel=1e-9)
 
     @pytest.mark.parametrize("n", [10, 57, 150])
-    @pytest.mark.parametrize("scale", [1.0, 2.0])
-    def test_integer_frames_put_pairs_on_the_margin(self, n, scale):
-        # One integer-valued AU scaled by 1 or 2, a unit margin and reg_c =
-        # 1 / scale**2: the first normalized step sets that AU's weight to
-        # exactly 1 and the second moves it by half that, so after one of the
-        # first two epochs pairs whose frames differ by a small integer score
-        # a gap of exactly the margin, on the kink of their hinges.
+    def test_one_moving_au_matches_the_one_dimensional_optimum(self, n):
+        # With one AU moving, the optimum lies on its axis, at the x > 0 that
+        # minimizes 0.5 x^2 + reg_c sum max(0, margin - x g)^2 over the pair
+        # gaps g. Its active pairs are those with g < margin / x: every
+        # g <= 0 and the k smallest positive gaps. The stationary point of
+        # the piece with k active positive gaps is the optimum when it keeps
+        # exactly those k active.
         rng = np.random.default_rng(n)
         frames = np.zeros((n, AU_COUNT))
-        frames[:, 0] = scale * np.cumsum(rng.integers(-1, 3, n))
-        config = RankPoolConfig(margin=1.0, reg_c=1.0 / scale**2)
-        d, trace = solve_rank_kernel(frames, config)
-        d_ref, trace_ref, _ = reference_solve(frames, config)
-        assert np.array_equal(d, d_ref)
-        assert trace == trace_ref
+        frames[:, 4] = np.cumsum(rng.integers(-1, 3, n)) * 0.5
+        v = smooth_frames(frames)
+        config = RankPoolConfig(margin=0.5, reg_c=2.0)
+        d, _ = solve_rank_kernel(v, config)
         ia, ib = _pair_indices(n)
-        on_margin = 0
-        for epochs in (1, 2):
-            early, _ = solve_rank_kernel(frames, replace(config, max_epochs=epochs))
-            scores = frames @ early
-            on_margin += int((scores[ia] - scores[ib] == config.margin).sum())
-        assert on_margin > 0
+        gaps = v[ia, 4] - v[ib, 4]
+        positive = np.sort(gaps[gaps > 0])
+        found = []
+        for k in range(len(positive) + 1):
+            active = np.concatenate([gaps[gaps <= 0], positive[:k]])
+            x = 2.0 * config.reg_c * config.margin * active.sum()
+            x /= 1.0 + 2.0 * config.reg_c * float(active @ active)
+            reach = config.margin / x if x > 0 else np.inf
+            if x > 0 and (k == 0 or positive[k - 1] < reach) and (
+                k == len(positive) or positive[k] >= reach
+            ):
+                found.append(x)
+        assert len(found) == 1
+        assert np.count_nonzero(d) == 1
+        assert d[4] == pytest.approx(found[0], rel=1e-12)
 
-    def test_zero_gradient_exit(self):
-        frames = np.ones((12, AU_COUNT))
-        d, trace = solve_rank_kernel(frames, CFG)
-        d_ref, trace_ref, reason = reference_solve(frames, CFG)
-        assert reason == "zero gradient"
-        assert np.array_equal(d, d_ref)
-        assert trace == trace_ref == [66.0]  # 66 pairs, each hinge at the full margin
+    def test_windows_of_a_clip_hold_the_certificate(self):
+        clip = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=600, seed=21)).clips[1]
+        descs = pool_clip(clip, window=150, stride=150, config=CFG)
+        assert descs.shape == (4, AU_COUNT)
+        for row, start in zip(descs, range(0, 600, 150)):
+            v = smooth_frames(clip.frames[start : start + 150])
+            _, grad = objective_and_gradient(row, v, CFG)
+            assert np.linalg.norm(grad) <= 1e-9 * certificate_scale(row, v, CFG)
 
-    def test_line_search_failure_exit(self):
-        # After two epochs both consecutive-frame pairs sit exactly at the
-        # margin, on the kink of their hinges: the subgradient counts them as
-        # inactive, and every trial step along it raises the objective. The
-        # frames are scaled by 64 and reg_c by 1 / 64**2 (exact powers of two):
-        # the unit steps then move the kernel as far, relative to the frames,
-        # as steps 64 times larger would on the unscaled frames; no small
-        # unscaled window reaching this exit is known.
-        frames = np.zeros((3, AU_COUNT))
-        frames[:, :2] = 64.0 * np.array([[0.5, 1.0], [1.5, 1.0], [2.5, 1.0]])
-        config = RankPoolConfig(margin=0.5, reg_c=1.0 / 4096)
-        d, trace = solve_rank_kernel(frames, config)
-        d_ref, trace_ref, reason = reference_solve(frames, config)
-        assert reason == "line search failed"
-        assert np.array_equal(d, d_ref)
-        assert trace == trace_ref
+    @pytest.mark.parametrize(
+        "config",
+        [RankPoolConfig(), RankPoolConfig(margin=0.5, reg_c=3.0)],
+        ids=["default", "tight"],
+    )
+    def test_constant_frames_keep_the_zero_kernel(self, config):
+        d, trace = solve_rank_kernel(np.full((12, AU_COUNT), 3.0), config)
+        assert np.array_equal(d, np.zeros(AU_COUNT))
+        assert trace == [config.reg_c * config.margin**2 * 66]  # 66 pairs at the full margin
+
+    def test_trace_starts_at_the_zero_kernel_and_strictly_decreases(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 7, 40, 150):
+            config = RankPoolConfig(margin=0.5, reg_c=2.0)
+            _, trace = solve_rank_kernel(smooth_frames(rng.normal(size=(n, AU_COUNT))), config)
+            assert trace[0] == config.reg_c * config.margin**2 * (n * (n - 1) // 2)
+            assert (np.diff(trace) < 0).all()
+
+    def test_max_epochs_caps_the_newton_iterations(self):
+        v = smooth_frames(drifting_frames(150, seed=2))
+        d, trace = solve_rank_kernel(v, CFG)
+        assert len(trace) - 1 >= 3
+        for cap in (1, 2):
+            d_cap, trace_cap = solve_rank_kernel(v, replace(CFG, max_epochs=cap))
+            assert trace_cap == trace[: cap + 1]
+            assert not np.array_equal(d_cap, d)
+        d_last, trace_last = solve_rank_kernel(v, replace(CFG, max_epochs=len(trace) - 1))
+        assert np.array_equal(d_last, d) and trace_last == trace
+
+    @pytest.mark.parametrize("two_c", [2e-3, 2.0, 2e3])
+    def test_line_search_lands_where_the_slope_vanishes(self, two_c):
+        # The line function 0.5 ||d + t p||^2 + reg_c sum max(0, r + t q)^2
+        # has slope dp + t pp + 2 reg_c sum max(0, r + t q) q.
+        rng = np.random.default_rng(int(two_c * 1000))
+        for _ in range(200):
+            m = int(rng.integers(1, 300))
+            r, q = rng.normal(size=m), rng.normal(size=m) * 10.0 ** rng.uniform(-2, 2)
+            pp = 10.0 ** rng.uniform(-3, 3)
+            # p is the Newton direction of the pairs active at t = 0: the
+            # slope of their linear piece vanishes at t = 1.
+            on = r > 0
+            dp = -pp - two_c * float((r[on] + q[on]) @ q[on])
+            t = _line_search(r, q, dp, pp, two_c)
+            hinge = np.maximum(r + t * q, 0.0)
+            slope = dp + t * pp + two_c * float(hinge @ q)
+            size = abs(dp) + t * pp + two_c * float(np.abs(hinge * q).sum())
+            assert t > 0 and abs(slope) <= 1e-12 * size
 
     def test_pair_indices_shared_and_read_only(self):
         ia, ib = _pair_indices(150)
@@ -335,130 +449,6 @@ class TestPairListSolver:
         assert len(ia) == 150 * 149 // 2
         assert (ia > ib).all()
         assert not ia.flags.writeable and not ib.flags.writeable
-
-
-def synth_window(seed):
-    """The first default-length window of a synthetic depressed clip."""
-    corpus = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=seed))
-    return corpus.clips[0].frames[:150]
-
-
-@pytest.fixture
-def screen_log(monkeypatch):
-    """Each screen's (pairs in, pairs kept), recorded around ``_screen``."""
-    log = []
-    screen = rankpool._screen
-
-    def recording(diffs, dist, radius, limit):
-        keep = screen(diffs, dist, radius, limit)
-        log.append((len(diffs), len(keep)))
-        return keep
-
-    monkeypatch.setattr(rankpool, "_screen", recording)
-    return log
-
-
-class TestPairScreening:
-    """Screening drops pairs and leaves every kernel and trace unchanged."""
-
-    @pytest.mark.parametrize("source", ["synth", "drifting"])
-    @pytest.mark.parametrize("max_epochs", [10, 37, 200, 2000])
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
-    def test_bit_identical_to_matrix_reference_with_pairs_dropped(
-        self, screen_log, source, max_epochs, scale
-    ):
-        # Scaling the frames, the margin and 1 / reg_c together poses the
-        # same problem in other units: the kernels match the unscaled ones
-        # up to rounding, and the bound's slack is exercised at every scale.
-        frames = synth_window(7) if source == "synth" else drifting_frames(150, seed=11)
-        v = smooth_frames(frames * scale)
-        config = RankPoolConfig(margin=scale, reg_c=1.0 / scale, max_epochs=max_epochs)
-        d, trace = solve_rank_kernel(v, config)
-        d_ref, trace_ref, _ = reference_solve(v, config)
-        assert np.array_equal(d, d_ref)
-        assert trace == trace_ref
-        assert sum(before - kept for before, kept in screen_log) > 0
-
-    def test_bound_is_attained_by_a_reversing_kernel(self, screen_log):
-        # One moving AU, so the kernel moves on a line. It steps to 1, then
-        # back by 1/2 and 1/3: after the screen at epoch 1 it moves the full
-        # reach[1] = 1/2 + 1/3 toward the pairs the screen dropped. On this
-        # window a radius even 1e-4 smaller drops a pair that turns active
-        # again, so the kernel would differ.
-        frames = np.zeros((150, AU_COUNT))
-        frames[:, 0] = np.cumsum(np.random.default_rng(0).normal(size=150))
-        v = smooth_frames(frames)
-        config = RankPoolConfig(margin=0.3, max_epochs=3)
-        path = [solve_rank_kernel(v, replace(config, max_epochs=t))[0][0] for t in (1, 2, 3)]
-        assert path == pytest.approx([1.0, 0.5, 1.0 / 6.0], rel=1e-12)
-        screen_log.clear()
-        d, trace = solve_rank_kernel(v, config)
-        d_ref, trace_ref, _ = reference_solve(v, config)
-        assert np.array_equal(d, d_ref)
-        assert trace == trace_ref
-        assert sum(before - kept for before, kept in screen_log) > 0
-
-    @pytest.mark.parametrize("scale", [1e-3, 1e6])
-    def test_default_config_on_scaled_frames(self, scale):
-        v = smooth_frames(synth_window(5) * scale)
-        d, trace = solve_rank_kernel(v, CFG)
-        d_ref, trace_ref, _ = reference_solve(v, CFG)
-        assert np.array_equal(d, d_ref)
-        assert trace == trace_ref
-
-    @pytest.mark.parametrize("offset", [1e3, 1e6])
-    def test_frames_far_from_the_origin(self, screen_log, offset):
-        # The scores v @ d then cancel in every pair difference.
-        v = smooth_frames(drifting_frames(150, seed=3) + offset)
-        d, trace = solve_rank_kernel(v, CFG)
-        d_ref, trace_ref, _ = reference_solve(v, CFG)
-        assert np.array_equal(d, d_ref)
-        assert trace == trace_ref
-        assert sum(before - kept for before, kept in screen_log) > 0
-
-    def test_windows_of_a_clip_match_the_reference(self, screen_log):
-        clip = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=600, seed=21)).clips[1]
-        descs = pool_clip(clip, window=150, stride=150, config=CFG)
-        for row, start in zip(descs, range(0, 600, 150)):
-            d_ref, _, _ = reference_solve(smooth_frames(clip.frames[start : start + 150]), CFG)
-            assert np.array_equal(row, d_ref)
-        assert len({before for before, _ in screen_log}) > 1  # lists shrink screen by screen
-
-    def test_kept_pairs_stay_in_row_major_order(self, monkeypatch):
-        kept_lists = []
-        screen = rankpool._screen
-
-        def recording(diffs, dist, radius, limit):
-            keep = screen(diffs, dist, radius, limit)
-            kept_lists.append(keep)
-            return keep
-
-        monkeypatch.setattr(rankpool, "_screen", recording)
-        solve_rank_kernel(smooth_frames(drifting_frames(150, seed=2)), CFG)
-        assert kept_lists
-        for keep in kept_lists:
-            assert (np.diff(keep) > 0).all()
-
-    def test_one_epoch_never_screens(self, screen_log):
-        solve_rank_kernel(smooth_frames(drifting_frames(150, seed=2)), replace(CFG, max_epochs=1))
-        assert screen_log == []
-
-    def test_reach_sums_the_remaining_step_bounds(self):
-        reach = _reach(37)
-        assert len(reach) == 38 and reach[37] == 0.0
-        for e in (0, 1, 20, 36):
-            assert reach[e] == pytest.approx(sum(1.0 / (1 + j) for j in range(e, 37)), rel=1e-14)
-        assert (np.diff(reach) < 0).all()
-        assert _reach(37) is reach and not reach.flags.writeable
-
-    @pytest.mark.parametrize("offset", [0.0, 1e6])
-    def test_pair_distances_bound_the_frame_distances(self, offset):
-        v = smooth_frames(drifting_frames(60, seed=9) + offset)
-        ia, ib = _pair_indices(60)
-        exact = np.sqrt(((v[ia] - v[ib]) ** 2).sum(axis=1))
-        dist = _pair_distances(v, ia, ib)
-        assert (dist >= exact).all()
-        # Loose only by the rounding slack, which is absolute: about
-        # sqrt(eps) times the centered frames' largest norm.
-        centered = np.sqrt(((v - v.mean(axis=0)) ** 2).sum(axis=1)).max()
-        assert (dist - exact <= 1e-6 * centered).all()
+        cells = _pair_cells(150)
+        assert _pair_cells(150) is cells and not cells.flags.writeable
+        assert np.array_equal(cells, ia * 150 + ib)
