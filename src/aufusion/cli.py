@@ -1,17 +1,20 @@
 """Command-line front end for the AU depression-classification pipeline.
 
 Subcommands cover the whole workflow: ``synth`` writes a synthetic corpus,
-``fit-gmm`` / ``pool`` / ``train-mlp`` build the individual artifacts,
+``fit-gmm`` and ``train-mlp`` build the class mixtures and the segment vote
+classifier from a corpus (``train-mlp`` rank-pools its clips in-process),
 ``score`` classifies a single clip, ``loocv`` runs the leave-one-out
 protocol, ``sweep`` re-fuses a cached run across vote weights, and
 ``report`` re-renders a cached run's table.
 
 Each subcommand takes the flags of the pipeline stages it runs, each with a
 default shown in ``--help``; a JSON config file can supply values for those
-flags, but explicit flags win. All randomness flows from ``--seed``. Every
-run that writes outputs also writes a provenance file with the resolved
-configuration. Exit codes: 0 success, 1 runtime failure, 2 usage or
-validation error.
+flags, but explicit flags win. All randomness flows from ``--seed``;
+``fit-gmm`` and ``train-mlp`` derive their model seeds from it as a
+leave-one-out fold does from its fold seed, so at a fold's seed, on its
+training clips, they rebuild that fold's models. Every run that writes
+outputs also writes a provenance file with the resolved configuration. Exit
+codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from . import __version__
 from .evaluate import (
     PipelineConfig,
     fit_class_gmms,
+    fit_classifier,
     load_sidecar,
     loocv,
     pool_corpus,
@@ -35,15 +39,13 @@ from .evaluate import (
     report_from_sidecar,
     score_clip,
     sweep_from_sidecar,
-    training_set,
     write_report_files,
 )
 from .gmm import likelihood_ratio_decision, load_gmm, save_gmm
 from .ingest import (
     Label, SynthConfig, read_clip, read_corpus, read_json, synth_corpus, write_corpus
 )
-from .mlp import load_mlp, save_mlp, train_mlp
-from .rankpool import read_descriptors, write_descriptors
+from .mlp import load_mlp, save_mlp
 
 
 class ValidationError(ValueError):
@@ -197,36 +199,17 @@ def cmd_fit_gmm(args) -> int:
     return 0
 
 
-def cmd_pool(args) -> int:
-    corpus = read_corpus(args.corpus)
-    pipeline = _pipeline_from_args(args)
-    descriptors = pool_corpus(corpus, pipeline)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_descriptors(descriptors, pipeline.stride, out)
-    _write_provenance(out, "pool", args)
-    print(f"wrote {sum(map(len, descriptors.values()))} descriptors to {out}")
-    return 0
-
-
 def cmd_train_mlp(args) -> int:
     corpus = read_corpus(args.corpus)
     corpus.require_labels()
-    path = _require_file(args.descriptors, "descriptor file")
-    by_source = read_descriptors(path)
-    if not by_source:
-        raise ValidationError(f"{path}: holds no descriptor rows")
-    unknown = sorted(set(by_source) - {c.participant_id for c in corpus.clips})
-    if unknown:
-        raise ValidationError(f"descriptor sources {unknown} not in corpus")
     pipeline = _pipeline_from_args(args)
-    xs, ys = training_set([c for c in corpus.clips if c.participant_id in by_source], by_source)
-    model = train_mlp(xs, ys, pipeline.mlp)
+    descriptors = pool_corpus(corpus, pipeline)
+    model, config = fit_classifier(corpus.clips, descriptors, pipeline, pipeline.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_mlp(model, out, pipeline.mlp)
+    save_mlp(model, out, config)
     _write_provenance(out, "train-mlp", args)
-    print(f"trained on {len(xs)} descriptors -> {out}")
+    print(f"trained on {sum(map(len, descriptors.values()))} descriptors -> {out}")
     return 0
 
 
@@ -310,8 +293,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    sidecar = load_sidecar(_require_file(args.report, "report sidecar"))
-    text = render_report(report_from_sidecar(sidecar))
+    path = _require_file(args.report, "report sidecar")
+    sidecar = load_sidecar(path)
+    try:
+        report = report_from_sidecar(sidecar)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    text = render_report(report)
     print(text, end="")
     if args.out:
         _write_output(Path(args.out), text, "report", args)
@@ -341,16 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model directory")
     _add_pipeline_args(p, MIXTURE, SEED)
 
-    p = command("pool", "rank-pool every clip into descriptors", cmd_pool)
+    p = command(
+        "train-mlp", "rank-pool a corpus and train the segment vote classifier", cmd_train_mlp
+    )
     p.add_argument("--corpus", required=True, help="corpus directory")
-    p.add_argument("--out", required=True, help="descriptor TSV path")
-    _add_pipeline_args(p, POOLING)
-
-    p = command("train-mlp", "train the segment vote classifier", cmd_train_mlp)
-    p.add_argument("--corpus", required=True, help="corpus directory (labels)")
-    p.add_argument("--descriptors", required=True, help="descriptor TSV from pool")
     p.add_argument("--out", required=True, help="model JSON path")
-    _add_pipeline_args(p, CLASSIFIER, SEED)
+    _add_pipeline_args(p, POOLING, CLASSIFIER, SEED)
 
     p = command("score", "score one clip through all systems", cmd_score)
     p.add_argument("--clip", required=True, help="clip CSV")
@@ -363,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("loocv", "leave-one-out evaluation", cmd_loocv)
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--jobs", type=int, help="parallel folds (None: one per usable CPU)")
+    p.add_argument(
+        "--jobs", type=int, help="worker processes, at least 1 (None: one per usable CPU)"
+    )
     _add_pipeline_args(p, MIXTURE, POOLING, CLASSIFIER, FUSION, SEED)
 
     p = command(

@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .ingest import (
     AUClip,
     Corpus,
     Label,
+    _require_integers,
     check_segmentable,
     pooled_class_frames,
     read_json,
@@ -67,6 +68,12 @@ class PipelineConfig:
     # Optional cap on pooled frames per class for mixture fitting; frames are
     # taken at an even stride, deterministically. None fits on everything.
     gmm_fit_frames: int | None = None
+
+    def __post_init__(self):
+        if self.gmm_fit_frames is not None:
+            _require_integers(self, "gmm_fit_frames")
+            if self.gmm_fit_frames < 1:
+                raise ValueError("gmm_fit_frames must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -169,6 +176,16 @@ def fit_class_gmms(
     return tuple(fitted)
 
 
+def fit_classifier(
+    clips: list[AUClip], descriptors: dict[str, np.ndarray], pipeline: PipelineConfig, seed: int
+) -> tuple[MlpModel, TrainConfig]:
+    """Train the vote classifier at ``seed + 2`` on the clips' descriptors,
+    after the two mixtures ``fit_class_gmms`` seeds at ``seed`` and
+    ``seed + 1``. Returns the model with its config."""
+    config = replace(pipeline.mlp, seed=seed + 2)
+    return train_mlp(*training_set(clips, descriptors), config), config
+
+
 def training_set(
     clips: list[AUClip], descriptors: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -195,8 +212,7 @@ def train_fold_models(
         )
     seed = fold_seed(pipeline.seed, held_out_id)
     (dep_model, _), (ndep_model, _) = fit_class_gmms(train_clips, pipeline, seed)
-    xs, ys = training_set(train_clips, descriptors)
-    mlp_model = train_mlp(xs, ys, replace(pipeline.mlp, seed=seed + 2))
+    mlp_model, _ = fit_classifier(train_clips, descriptors, pipeline, seed)
     return dep_model, ndep_model, mlp_model
 
 
@@ -263,10 +279,15 @@ def _worker_call(participant_id: str):
     return _WORKER["task"](participant_id, *_WORKER["shared"])
 
 
-def _map_participants(task, ids: list[str], shared: tuple, jobs: int) -> list:
-    """``[task(pid, *shared) for pid in ids]``, inline when ``jobs <= 1``,
-    else in ``jobs`` worker processes that receive ``shared`` once."""
-    if jobs <= 1:
+def _map_participants(task, ids: list[str], shared: tuple, jobs: int | None) -> list:
+    """``[task(pid, *shared) for pid in ids]``, inline when ``jobs`` is 1,
+    else in ``jobs`` worker processes (None: one per usable CPU) that receive
+    ``shared`` once. A ``jobs`` below 1 raises a ValueError."""
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0))
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if jobs == 1:
         return [task(pid, *shared) for pid in ids]
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(task, shared)
@@ -292,7 +313,7 @@ def _fold_task(
 
 
 def pool_corpus(
-    corpus: Corpus, pipeline: PipelineConfig, jobs: int = 1
+    corpus: Corpus, pipeline: PipelineConfig, jobs: int | None = 1
 ) -> dict[str, np.ndarray]:
     """Descriptors for every clip, keyed by participant id. Every clip's
     length is checked before the first one is pooled."""
@@ -311,9 +332,6 @@ def loocv(corpus: Corpus, pipeline: PipelineConfig, jobs: int | None = None) -> 
     for label in (Label.DEPRESSED, Label.NONDEPRESSED):
         if sum(1 for c in corpus.clips if c.label is label) < 2:
             raise ValueError("need at least two clips per class for leave-one-out")
-    if jobs is None:
-        jobs = len(os.sched_getaffinity(0))
-
     ids = [c.participant_id for c in corpus.clips]
     descriptors = pool_corpus(corpus, pipeline, jobs=jobs)
     rows = _map_participants(_fold_task, ids, (corpus, pipeline, descriptors), jobs)
@@ -398,13 +416,29 @@ def write_report_files(report: LoocvReport, outdir: str | Path) -> tuple[Path, P
     return table_path, sidecar_path
 
 
+_ROW_FIELDS = tuple(f.name for f in fields(FoldRow))
+
+
 def report_from_sidecar(payload: dict) -> LoocvReport:
-    """Rebuild a report object from its machine-readable sidecar."""
+    """Rebuild a report object from its machine-readable sidecar. A row
+    without exactly ``FoldRow``'s fields, or with a label that is not a
+    ``Label`` value, raises a ValueError naming the row index and the
+    participant."""
     rows = []
-    for rec in payload["rows"]:
+    for index, rec in enumerate(payload["rows"]):
+        where = f"row {index}"
+        if "participant_id" in rec:
+            where += f" ({rec['participant_id']})"
+        missing = [key for key in _ROW_FIELDS if key not in rec]
+        unexpected = [key for key in rec if key not in _ROW_FIELDS]
+        if missing or unexpected:
+            raise ValueError(f"{where}: missing fields {missing}, unexpected fields {unexpected}")
         kwargs = dict(rec)
         for key in ("label", "gmm_decision", "rankpool_decision", "combined_decision"):
-            kwargs[key] = Label(kwargs[key])
+            try:
+                kwargs[key] = Label(rec[key])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {key}: {exc}") from None
         rows.append(FoldRow(**kwargs))
     return LoocvReport(rows=rows, configs=payload["configs"], seed=payload["seed"])
 
@@ -425,7 +459,20 @@ def load_sidecar(path: str | Path) -> dict:
     missing = [key for key in ("omega", "tau", "normalize_ll") if key not in fusion_cfg]
     if missing:
         raise ValueError(f"{path}: configs.fusion is missing keys {missing}")
+    for key, ok, expected in (
+        ("omega", _is_number(fusion_cfg["omega"]), "a number"),
+        ("tau", fusion_cfg["tau"] is None or _is_number(fusion_cfg["tau"]), "a number or null"),
+        ("normalize_ll", isinstance(fusion_cfg["normalize_ll"], bool), "true or false"),
+    ):
+        if not ok:
+            found = json.dumps(fusion_cfg[key])
+            raise ValueError(f"{path}: configs.fusion.{key}: expected {expected}, found {found}")
     return payload
+
+
+def _is_number(value) -> bool:
+    """True for a JSON number; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def sweep_from_sidecar(payload: dict, omegas) -> fusion_mod.SweepTable:

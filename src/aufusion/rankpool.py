@@ -31,11 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .ingest import AU_COUNT, AUClip, Segment, _freeze, _require_integers, segment_clip
+from .ingest import AUClip, Segment, _freeze, _require_integers, segment_clip
 
 _GRAD_TOL = 1e-9  # the gradient certificate's relative tolerance
 _LINE_PASSES = 64  # line-search passes before it settles for the step it has
@@ -222,38 +221,3 @@ def pool_clip(clip: AUClip, window: int, stride: int, config: RankPoolConfig) ->
     per window in segment order."""
     return _freeze([rank_pool(seg, config) for seg in segment_clip(clip, window, stride)])
 
-
-_DESCRIPTOR_HEADER = "source_id\tstart_index\t" + "\t".join(f"d{i:02d}" for i in range(AU_COUNT))
-
-
-def write_descriptors(descriptors: dict[str, np.ndarray], stride: int, path: str | Path):
-    """Tab-separated dump: source_id, start_index, 17 weights per row. Row i
-    of a clip's matrix starts at frame ``i * stride``."""
-    lines = [_DESCRIPTOR_HEADER]
-    for source_id, matrix in descriptors.items():
-        for i, d in enumerate(matrix):
-            lines.append(f"{source_id}\t{i * stride}\t" + "\t".join(repr(float(x)) for x in d))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_descriptors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a ``write_descriptors`` dump into one read-only matrix per source,
-    in file order; a bad header, field count, start index or weight is
-    reported with the file and line."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0] != _DESCRIPTOR_HEADER:
-        raise ValueError(f"{path}: line 1: expected the header {_DESCRIPTOR_HEADER!r}")
-    rows: dict[str, list[np.ndarray]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        try:
-            if len(parts) != 2 + AU_COUNT:
-                raise ValueError(f"expected {2 + AU_COUNT} fields, found {len(parts)}")
-            int(parts[1])  # the start index must be an integer
-            d = np.array([float(x) for x in parts[2:]])
-            if not np.isfinite(d).all():
-                raise ValueError("descriptor weights must be finite")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from None
-        rows.setdefault(parts[0], []).append(d)
-    return {source_id: _freeze(matrix) for source_id, matrix in rows.items()}

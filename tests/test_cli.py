@@ -2,14 +2,17 @@ import argparse
 import hashlib
 import json
 import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from aufusion.cli import _pipeline_from_args, build_parser, main
-from aufusion.evaluate import PipelineConfig
-from aufusion.ingest import read_corpus
+from aufusion.evaluate import PipelineConfig, fold_seed, hash_gmm, hash_mlp
+from aufusion.gmm import load_gmm
+from aufusion.ingest import Corpus, read_corpus, write_corpus
+from aufusion.mlp import load_mlp
 
 MIXTURE_FLAGS = ["--components", "4", "--n-init", "1"]
 CLASSIFIER_FLAGS = ["--mlp-epochs", "60"]
@@ -70,14 +73,11 @@ def workspace(tmp_path_factory):
     corpus = synth(tmp_path)
     models = tmp_path / "models"
     assert main(["fit-gmm", "--corpus", str(corpus), "--out", str(models), *MIXTURE_FLAGS]) == 0
-    descs = tmp_path / "descriptors.tsv"
-    assert main(["pool", "--corpus", str(corpus), "--out", str(descs)]) == 0
     mlp_path = tmp_path / "mlp.json"
     assert main(
-        ["train-mlp", "--corpus", str(corpus), "--descriptors", str(descs),
-         "--out", str(mlp_path), *CLASSIFIER_FLAGS]
+        ["train-mlp", "--corpus", str(corpus), "--out", str(mlp_path), *CLASSIFIER_FLAGS]
     ) == 0
-    return tmp_path, corpus, models, descs, mlp_path
+    return tmp_path, corpus, models, mlp_path
 
 
 class TestLoocvCommand:
@@ -100,10 +100,19 @@ class TestLoocvCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error_without_outputs(self, tmp_path, capsys, jobs):
+        corpus = synth(tmp_path)
+        out = tmp_path / "run"
+        code = main(["loocv", "--corpus", str(corpus), "--out", str(out), "--jobs", jobs])
+        assert code == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+        assert not out.exists()
+
     def test_corpus_path_that_is_a_file_is_usage_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.csv"
         corpus.write_text("")
-        code = main(["pool", "--corpus", str(corpus), "--out", str(tmp_path / "d.tsv")])
+        code = main(["train-mlp", "--corpus", str(corpus), "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert f"no manifest.jsonl in {corpus}" in capsys.readouterr().err
 
@@ -204,8 +213,17 @@ class TestSweepCommand:
             (lambda p: p["configs"]["fusion"].pop("omega"), "configs.fusion is missing keys ['omega']"),
             (lambda p: p["rows"].append(7), "rows must be a list of JSON objects"),
             (lambda p: p["rows"][2].update(n_frames=None), "record 2 (P003): int() argument"),
+            (lambda p: p["configs"]["fusion"].update(omega="1"),
+             'configs.fusion.omega: expected a number, found "1"'),
+            (lambda p: p["configs"]["fusion"].update(omega=True),
+             "configs.fusion.omega: expected a number, found true"),
+            (lambda p: p["configs"]["fusion"].update(tau="0"),
+             'configs.fusion.tau: expected a number or null, found "0"'),
+            (lambda p: p["configs"]["fusion"].update(normalize_ll="yes"),
+             'configs.fusion.normalize_ll: expected true or false, found "yes"'),
         ],
-        ids=["bad-label", "no-omega", "row-not-object", "null-frame-count"],
+        ids=["bad-label", "no-omega", "row-not-object", "null-frame-count", "string-omega",
+             "bool-omega", "string-tau", "string-normalize-ll"],
     )
     def test_bad_sidecar_is_usage_error_located(self, run_dir, tmp_path, capsys, edit, where):
         payload = json.loads((run_dir / "report.json").read_text())
@@ -222,14 +240,14 @@ class TestSweepCommand:
 
 class TestModelCommands:
     def test_artifacts_written(self, workspace):
-        tmp_path, _, models, descs, mlp_path = workspace
+        _, _, models, mlp_path = workspace
         assert (models / "gmm-depressed.json").is_file()
         assert (models / "gmm-nondepressed.json").is_file()
-        assert descs.is_file() and mlp_path.is_file()
+        assert mlp_path.is_file()
         assert mlp_path.with_name("mlp.json.provenance.json").is_file()
 
     def test_score_clip(self, workspace, capsys):
-        _, corpus, models, _, mlp_path = workspace
+        _, corpus, models, mlp_path = workspace
         clip = corpus / "clips" / "P001.csv"
         code = main(
             ["score", "--clip", str(clip),
@@ -245,7 +263,7 @@ class TestModelCommands:
         assert fields[-1] in ("Depressed", "NonDepressed")
 
     def test_zero_variance_floor_is_usage_error_without_outputs(self, workspace, capsys):
-        tmp_path, corpus, _, _, _ = workspace
+        tmp_path, corpus, _, _ = workspace
         out = tmp_path / "never"
         code = main(
             ["fit-gmm", "--corpus", str(corpus), "--out", str(out),
@@ -254,6 +272,39 @@ class TestModelCommands:
         assert code == 2
         assert "variance_floor must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, frames", [("fit-gmm", "0"), ("loocv", "-5")])
+    def test_gmm_fit_frames_below_one_is_usage_error_without_outputs(
+        self, workspace, capsys, command, frames
+    ):
+        tmp_path, corpus, _, _ = workspace
+        out = tmp_path / "never"
+        code = main(
+            [command, "--corpus", str(corpus), "--out", str(out), "--gmm-fit-frames", frames]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: gmm_fit_frames must be >= 1\n"
+        assert not out.exists()
+
+    def test_fit_gmm_and_train_mlp_at_a_fold_seed_rebuild_the_fold_models(self, run_dir, tmp_path):
+        row = json.loads((run_dir / "report.json").read_text())["rows"][1]
+        held_out = row["participant_id"]
+        clips = read_corpus(run_dir.parent / "corpus").clips
+        train = tmp_path / "train"
+        write_corpus(Corpus([c for c in clips if c.participant_id != held_out]), train)
+        seed = str(fold_seed(7, held_out))
+        models, mlp_path = tmp_path / "models", tmp_path / "mlp.json"
+        assert main(
+            ["fit-gmm", "--corpus", str(train), "--out", str(models), "--seed", seed,
+             *MIXTURE_FLAGS]
+        ) == 0
+        assert main(
+            ["train-mlp", "--corpus", str(train), "--out", str(mlp_path), "--seed", seed,
+             *CLASSIFIER_FLAGS]
+        ) == 0
+        assert hash_gmm(load_gmm(models / "gmm-depressed.json")[0]) == row["gmm_dep_hash"]
+        assert hash_gmm(load_gmm(models / "gmm-nondepressed.json")[0]) == row["gmm_ndep_hash"]
+        assert hash_mlp(load_mlp(mlp_path)[0]) == row["mlp_hash"]
 
 
 class TestReportCommand:
@@ -268,6 +319,31 @@ class TestReportCommand:
         assert code == 0
         rendered = capsys.readouterr().out
         assert rendered == (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda p: p["rows"][0].pop("mlp_hash"),
+             "row 0 (P001): missing fields ['mlp_hash'], unexpected fields []"),
+            (lambda p: p["rows"][2].update(extra=1),
+             "row 2 (P003): missing fields [], unexpected fields ['extra']"),
+            (lambda p: p["rows"][1].update(label="Sad"),
+             "row 1 (P002): label: 'Sad' is not a valid Label"),
+            (lambda p: p["rows"][3].update(combined_decision=None),
+             "row 3 (P004): combined_decision: None is not a valid Label"),
+        ],
+        ids=["missing-field", "extra-field", "bad-label", "null-decision"],
+    )
+    def test_bad_row_is_usage_error_naming_file_row_and_participant(
+        self, run_dir, tmp_path, capsys, edit, where
+    ):
+        payload = json.loads((run_dir / "report.json").read_text())
+        edit(payload)
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(payload))
+        code = main(["report", "--report", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: {where}\n"
 
     def test_out_creates_directories_and_provenance(self, run_dir, tmp_path):
         target = tmp_path / "new" / "dir" / "report.txt"
@@ -339,14 +415,14 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "command, values, key, expected",
         [
-            ("pool", {"rank_epochs": 2.5}, "rank_epochs", "an integer, found 2.5"),
-            ("pool", {"window": 150.0}, "window", "an integer, found 150.0"),
-            ("pool", {"window": True}, "window", "an integer, found true"),
+            ("train-mlp", {"rank_epochs": 2.5}, "rank_epochs", "an integer, found 2.5"),
+            ("train-mlp", {"window": 150.0}, "window", "an integer, found 150.0"),
+            ("train-mlp", {"window": True}, "window", "an integer, found true"),
             ("fit-gmm", {"gmm_fit_frames": 1.5}, "gmm_fit_frames", "an integer or null, found 1.5"),
-            ("pool", {"margin": "1"}, "margin", 'a number, found "1"'),
+            ("train-mlp", {"margin": "1"}, "margin", 'a number, found "1"'),
             ("score", {"raw_ll": "yes"}, "raw_ll", 'true or false, found "yes"'),
-            ("pool", {"stride": None}, "stride", "an integer, found null"),
-            ("pool", {"corpus": 3}, "corpus", "a string, found 3"),
+            ("train-mlp", {"stride": None}, "stride", "an integer, found null"),
+            ("train-mlp", {"corpus": 3}, "corpus", "a string, found 3"),
         ],
         ids=["int-float", "int-whole-float", "int-bool", "nullable-int", "float-string",
              "switch-string", "null-without-none-default", "path-number"],
@@ -358,7 +434,7 @@ class TestConfigFile:
         config.write_text(json.dumps(values))
         out = tmp_path / "out"
         required = {
-            "pool": ["--corpus", "c"],
+            "train-mlp": ["--corpus", "c"],
             "fit-gmm": ["--corpus", "c"],
             "score": ["--clip", "c.csv", "--gmm-dep", "d", "--gmm-ndep", "n", "--mlp", "m"],
         }[command]
@@ -371,12 +447,13 @@ class TestConfigFile:
         corpus = synth(tmp_path, n=2, frames=300)
         config = tmp_path / "config.json"
         # An integer for a float flag works as that flag would.
-        config.write_text(json.dumps({"margin": 1, "reg_c": 1.0, "window": 150}))
-        out = tmp_path / "descriptors.tsv"
-        argv = ["pool", "--config", str(config), "--corpus", str(corpus), "--out", str(out)]
+        config.write_text(json.dumps({"margin": 1, "reg_c": 1.0, "window": 150, "mlp_epochs": 5}))
+        out = tmp_path / "mlp.json"
+        argv = ["train-mlp", "--config", str(config), "--corpus", str(corpus), "--out", str(out)]
         assert main(argv) == 0
-        flags = tmp_path / "flags.tsv"
-        assert main(["pool", "--corpus", str(corpus), "--out", str(flags)]) == 0
+        flags = tmp_path / "flags.json"
+        argv = ["train-mlp", "--corpus", str(corpus), "--out", str(flags), "--mlp-epochs", "5"]
+        assert main(argv) == 0
         assert out.read_bytes() == flags.read_bytes()
         # null where the default is None.
         config.write_text(json.dumps({"gmm_fit_frames": None, "n_init": 1, "components": 2,
@@ -386,7 +463,7 @@ class TestConfigFile:
                      "--out", str(models)]) == 0
 
 
-SUBCOMMANDS = ["synth", "fit-gmm", "pool", "train-mlp", "score", "loocv", "sweep", "report"]
+SUBCOMMANDS = ["synth", "fit-gmm", "train-mlp", "score", "loocv", "sweep", "report"]
 
 
 def help_blocks(text: str) -> dict[str, str]:
@@ -443,9 +520,8 @@ POOLING = ["--window", "--stride", "--margin", "--reg-c", "--rank-epochs"]
 STAGE_FLAGS = {
     "fit-gmm": ["--components", "--em-iters", "--em-tol", "--variance-floor", "--n-init",
                 "--gmm-fit-frames", "--seed"],
-    "pool": POOLING,
-    "train-mlp": ["--hidden1", "--hidden2", "--dropout", "--learning-rate", "--mlp-epochs",
-                  "--batch-size", "--seed"],
+    "train-mlp": POOLING + ["--hidden1", "--hidden2", "--dropout", "--learning-rate",
+                            "--mlp-epochs", "--batch-size", "--seed"],
     "score": POOLING + ["--omega", "--tau", "--raw-ll"],
     "loocv": ["--window", "--stride", "--components", "--em-iters", "--em-tol",
               "--variance-floor", "--n-init", "--gmm-fit-frames", "--margin", "--reg-c",
@@ -454,7 +530,7 @@ STAGE_FLAGS = {
     "sweep": [],
     "report": [],
 }
-IO_FLAGS = {"-h", "--help", "--config", "--corpus", "--out", "--descriptors", "--clip",
+IO_FLAGS = {"-h", "--help", "--config", "--corpus", "--out", "--clip",
             "--gmm-dep", "--gmm-ndep", "--mlp", "--jobs", "--report", "--omegas"}
 
 
@@ -482,18 +558,30 @@ class TestStageFlags:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         rows = re.findall(r"^\| `([\w-]+)` \|(.*)$", readme, flags=re.MULTILINE)
         assert [command for command, _ in rows] == [
-            "fit-gmm", "pool", "train-mlp", "score", "loocv", "synth"
+            "fit-gmm", "train-mlp", "score", "loocv", "synth"
         ]
         for command, row in rows:
             flags = pipeline_flags(command)
             for flag in re.findall(r"--[\w-]+", row):
                 assert flag in flags, f"README lists {flag} for {command}"
 
+    def test_readme_quick_start_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        quick_start = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+        lines = quick_start.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.startswith("aufusion ")]
+        assert commands
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
     def test_other_stage_flag_is_usage_error_without_outputs(self, tmp_path, capsys):
         corpus = synth(tmp_path)
-        out = tmp_path / "descriptors.tsv"
+        out = tmp_path / "mlp.json"
         with pytest.raises(SystemExit) as exc:
-            main(["pool", "--corpus", str(corpus), "--out", str(out), "--components", "2"])
+            main(["train-mlp", "--corpus", str(corpus), "--out", str(out), "--components", "2"])
         assert exc.value.code == 2
         assert "--components" in capsys.readouterr().err
         assert not out.exists()
@@ -501,8 +589,8 @@ class TestStageFlags:
     def test_other_stage_config_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"components": 2}))
-        out = tmp_path / "descriptors.tsv"
-        code = main(["pool", "--config", str(config), "--corpus", "c", "--out", str(out)])
+        out = tmp_path / "mlp.json"
+        code = main(["train-mlp", "--config", str(config), "--corpus", "c", "--out", str(out)])
         assert code == 2
         assert "unknown config keys: ['components']" in capsys.readouterr().err
         assert not out.exists()
@@ -530,7 +618,7 @@ class TestInputErrorsNameTheFile:
         assert not out.exists()
 
     def test_scored_clip_parse_error(self, workspace, tmp_path, capsys):
-        _, corpus, models, _, mlp_path = workspace
+        _, corpus, models, mlp_path = workspace
         clip = tmp_path / "P001.csv"
         clip.write_text((corpus / "clips" / "P001.csv").read_text())
         corrupt_cell(clip, 3, "AU12_r", "nan")
@@ -544,7 +632,7 @@ class TestInputErrorsNameTheFile:
         assert f"{clip}: line 3, column 'AU12_r'" in capsys.readouterr().err
 
     def test_scored_clip_not_utf8(self, workspace, tmp_path, capsys):
-        _, corpus, models, _, mlp_path = workspace
+        _, corpus, models, mlp_path = workspace
         clip = tmp_path / "P001.csv"
         clip.write_bytes(b"\xff\xfe" + (corpus / "clips" / "P001.csv").read_bytes())
         code = main(
@@ -556,44 +644,18 @@ class TestInputErrorsNameTheFile:
         assert code == 2
         assert f"error: {clip}: not UTF-8 text" in capsys.readouterr().err
 
-    def test_descriptor_row_with_a_missing_weight(self, workspace, tmp_path, capsys):
-        _, corpus, _, descs, _ = workspace
-        lines = descs.read_text().splitlines()
-        lines[2] = lines[2].rsplit("\t", 1)[0]  # 16 weights
-        bad = tmp_path / "descriptors.tsv"
-        bad.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "mlp.json"
-        code = main(
-            ["train-mlp", "--corpus", str(corpus), "--descriptors", str(bad), "--out", str(out)]
-        )
-        assert code == 2
-        assert f"{bad}: line 3: expected 19 fields, found 18" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_descriptor_file_without_rows(self, workspace, tmp_path, capsys):
-        _, corpus, _, descs, _ = workspace
-        bad = tmp_path / "descriptors.tsv"
-        bad.write_text(descs.read_text().splitlines()[0] + "\n")
-        out = tmp_path / "mlp.json"
-        code = main(
-            ["train-mlp", "--corpus", str(corpus), "--descriptors", str(bad), "--out", str(out)]
-        )
-        assert code == 2
-        assert f"error: {bad}: holds no descriptor rows" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_manifest_record_with_a_bad_label(self, tmp_path, capsys):
         corpus = synth(tmp_path)
         manifest = corpus / "manifest.jsonl"
         manifest.write_text(manifest.read_text().replace('"NonDepressed"', '"Sad"', 1))
-        out = tmp_path / "descriptors.tsv"
-        code = main(["pool", "--corpus", str(corpus), "--out", str(out)])
+        out = tmp_path / "mlp.json"
+        code = main(["train-mlp", "--corpus", str(corpus), "--out", str(out)])
         assert code == 2
         assert f"{manifest}: line 2: 'Sad' is not a valid Label" in capsys.readouterr().err
         assert not out.exists()
 
     def test_model_without_weights(self, workspace, tmp_path, capsys):
-        _, corpus, models, _, mlp_path = workspace
+        _, corpus, models, mlp_path = workspace
         payload = json.loads((models / "gmm-depressed.json").read_text())
         del payload["weights"]
         bad = tmp_path / "gmm-depressed.json"
@@ -618,7 +680,7 @@ class TestInputErrorsNameTheFile:
         ids=["gmm-short-weights", "mlp-unknown-config-key"],
     )
     def test_model_with_a_bad_value(self, workspace, tmp_path, capsys, model, edit, message):
-        _, corpus, models, _, mlp_path = workspace
+        _, corpus, models, mlp_path = workspace
         paths = {
             "gmm-depressed.json": models / "gmm-depressed.json",
             "gmm-nondepressed.json": models / "gmm-nondepressed.json",

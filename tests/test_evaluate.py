@@ -53,6 +53,18 @@ def small_report(small_corpus):
     return loocv(small_corpus, FAST_PIPELINE, jobs=1)
 
 
+class TestPipelineConfig:
+    @pytest.mark.parametrize(
+        "frames, message",
+        [(0, "gmm_fit_frames must be >= 1"), (-5, "gmm_fit_frames must be >= 1"),
+         (True, "gmm_fit_frames must be an integer"), (1.5, "gmm_fit_frames must be an integer")],
+    )
+    def test_gmm_fit_frames_is_none_or_a_positive_integer(self, frames, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(gmm_fit_frames=frames)
+        assert PipelineConfig(gmm_fit_frames=1).gmm_fit_frames == 1
+
+
 class TestAccuracy:
     def test_reference_tallies(self):
         rows = reference_rows()
@@ -154,7 +166,7 @@ class TestScoreClip:
 
 
 class TestShortClips:
-    # `aufusion pool` pools through pool_corpus; loocv pools before any fold.
+    # `aufusion train-mlp` pools through pool_corpus; loocv pools before any fold.
     @pytest.mark.parametrize("run", [loocv, pool_corpus], ids=["loocv", "pool"])
     def test_rejected_before_any_clip_is_pooled(self, small_corpus, monkeypatch, run):
         last = small_corpus.clips[-1]

@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +13,8 @@ from aufusion.rankpool import (
     order_agreement,
     pool_clip,
     rank_pool,
-    read_descriptors,
     smooth_frames,
     solve_rank_kernel,
-    write_descriptors,
 )
 
 CFG = RankPoolConfig()
@@ -174,50 +171,6 @@ class TestSolver:
         agree_base = order_agreement(rank_pool(seg, CFG), seg)
         agree_scaled = order_agreement(rank_pool(scaled, CFG), scaled)
         assert agree_base == agree_scaled == 1.0
-
-
-class TestDescriptorDump:
-    def test_round_trip(self, tmp_path):
-        corpus = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=13))
-        descs = {
-            clip.participant_id: pool_clip(clip, window=150, stride=100, config=CFG)
-            for clip in corpus.clips
-        }
-        path = tmp_path / "descriptors.tsv"
-        write_descriptors(descs, 100, path)
-        loaded = read_descriptors(path)
-        assert list(loaded) == list(descs) == ["P001", "P002"]
-        for source_id, matrix in descs.items():
-            assert matrix.shape == (2, AU_COUNT)
-            np.testing.assert_array_equal(loaded[source_id], matrix)
-            assert not loaded[source_id].flags.writeable
-        rows = path.read_text().splitlines()[1:]
-        assert [row.split("\t")[:2] for row in rows[:2]] == [["P001", "0"], ["P001", "100"]]
-
-    @pytest.mark.parametrize(
-        "line_no, edit, message",
-        [
-            (1, lambda line: line.replace("d16", "d17"), "expected the header"),
-            (3, lambda line: line.rsplit("\t", 1)[0], "expected 19 fields, found 18"),
-            (2, lambda line: line + "\t0.5", "expected 19 fields, found 20"),
-            (3, lambda line: line.rsplit("\t", 1)[0] + "\tnan", "must be finite"),
-            (2, lambda line: line.rsplit("\t", 1)[0] + "\tinf", "must be finite"),
-            (2, lambda line: line.rsplit("\t", 1)[0] + "\tx", "could not convert"),
-            (3, lambda line: "\t".join(["P001", "?"] + line.split("\t")[2:]), "invalid literal"),
-        ],
-        ids=["header", "missing-weight", "extra-weight", "nan", "inf", "text", "start-index"],
-    )
-    def test_bad_input_names_file_and_line(self, tmp_path, line_no, edit, message):
-        clip = synth_corpus(SynthConfig(n_participants=2, frames_per_clip=300, seed=13)).clips[0]
-        path = tmp_path / "descriptors.tsv"
-        descs = {clip.participant_id: pool_clip(clip, window=150, stride=150, config=CFG)}
-        write_descriptors(descs, 150, path)
-        lines = path.read_text().splitlines()
-        lines[line_no - 1] = edit(lines[line_no - 1])
-        path.write_text("\n".join(lines) + "\n")
-        where = f"^{re.escape(str(path))}: line {line_no}: "
-        with pytest.raises(ValueError, match=where + f".*{message}"):
-            read_descriptors(path)
 
 
 def synth_window(seed):
