@@ -452,6 +452,8 @@ def load_sidecar(path: str | Path) -> dict:
     rows = payload["rows"]
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError(f"{path}: rows must be a list of JSON objects")
+    if not rows:
+        raise ValueError(f"{path}: rows is empty")
     configs = payload["configs"]
     fusion_cfg = configs.get("fusion") if isinstance(configs, dict) else None
     if not isinstance(fusion_cfg, dict):

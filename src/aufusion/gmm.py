@@ -16,11 +16,11 @@ its offset from the origin. A fit centers on the training mean, builds
 ``B`` once and keeps its means relative to ``c`` throughout EM. Scoring
 centers on ``weights @ means``, which depends only on the model, so a clip's
 log-likelihood stays additive over its frames. The kernel walks ``B`` in
-chunks of ``_CHUNK`` frames: per chunk the log joint is one
-``(n, 2 * dim) @ B[:, chunk]`` matmul into an ``(n, chunk)`` array,
-normalised column by column in place, and EM adds both M-step moments from
-one ``responsibilities @ B[:, chunk].T``, so it never holds the full
-responsibility matrix.
+chunks of frames (``_chunk_frames``, 512 up to 32 components): per chunk the
+log joint is one ``(n, 2 * dim) @ B[:, chunk]`` matmul into an
+``(n, chunk)`` array, normalised column by column in place, and EM adds both
+M-step moments from one ``responsibilities @ B[:, chunk].T``, so it never
+holds the full responsibility matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ingest import AUClip, Label, _require_integers, read_json
+from .ingest import AUClip, Label, _require_integers, _serial_rows, read_json
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -118,12 +118,21 @@ def _centered_block(frames: np.ndarray, center: np.ndarray) -> np.ndarray:
 
 # Frames per kernel pass. A pass's (n, _CHUNK) log joint stays cache-sized,
 # and at the default 32 components each of its matmuls (32 x 34 x 512, about
-# 0.56M multiply-adds) is small enough that OpenBLAS runs it on the calling
-# thread. A multi-threaded call made from one of several worker processes
+# 0.56M multiply-adds) runs on the calling thread in OpenBLAS. A
+# multi-threaded call made from one of several worker processes
 # oversubscribes the cores and waits on descheduled peers: with two processes
 # fitting at once on two cores, one 1000-frame M-step matmul took 32 ms
-# instead of 0.13 ms.
+# instead of 0.13 ms. With more components a 512-frame M-step matmul does
+# thread (from 40 components), so the pass shrinks (``_chunk_frames``).
 _CHUNK = 512
+
+
+def _chunk_frames(n_components: int, dim: int) -> int:
+    """Frames per kernel pass: ``_CHUNK`` up to 32 components, and above
+    that as many as keep each chunk matmul on the calling thread."""
+    if n_components <= 32:
+        return _CHUNK
+    return min(_CHUNK, _serial_rows(2 * dim * n_components))
 
 
 def _e_step(
@@ -146,8 +155,9 @@ def _e_step(
         + np.einsum("nd,nd,nd->n", rel_means, rel_means, inv_var)
     )
     coef = np.concatenate([-0.5 * inv_var, rel_means * inv_var], axis=1)
-    for start in range(0, block.shape[1], _CHUNK):
-        columns = slice(start, start + _CHUNK)
+    chunk = _chunk_frames(len(weights), dim)
+    for start in range(0, block.shape[1], chunk):
+        columns = slice(start, start + chunk)
         joint = coef @ block[:, columns]
         joint += const[:, None]
         top = joint.max(axis=0)

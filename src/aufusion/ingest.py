@@ -70,6 +70,18 @@ def _require_integers(config, *fields: str):
             raise ValueError(f"{field} must be an integer, found {value!r}")
 
 
+# OpenBLAS (0.3.31) runs a matrix product on the calling thread while it has
+# fewer than 2**19 multiply-adds, and may spread a larger one over every core;
+# taken in one of several worker processes, that oversubscribes the cores.
+_SERIAL_MACS = 1 << 19
+
+
+def _serial_rows(macs_per_row: int) -> int:
+    """Rows per block of a product whose rows cost ``macs_per_row``
+    multiply-adds each, so that every block stays on the calling thread."""
+    return max(1, (_SERIAL_MACS - 1) // macs_per_row)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     a.setflags(write=False)

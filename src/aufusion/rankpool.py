@@ -24,6 +24,14 @@ Everything else works on the list of the n(n-1)/2 ordered pairs (a > b),
 whose indices are cached read-only per window length. The frames are
 centered first, which leaves every pair difference as it is and keeps the
 scores small, so frames far from the origin lose no precision.
+
+The solve starts from the zero kernel, where every pair is active at the
+residual ``margin``. There the gradient is ``-2 reg_c margin V^T (2i - (n -
+1))`` and the Hessian ``I + 2 reg_c (n V^T V - s s^T)``, ``s = V^T 1``, with
+no pair list; and the step along that first direction is the exact minimum
+of a one-dimensional piecewise quadratic whose pieces end as pairs leave the
+active set, found with one sort (``_ray_search``). Later iterations work on
+the active pairs as above.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ingest import AUClip, Segment, _freeze, _require_integers, segment_clip
+from .ingest import AUClip, Segment, _freeze, _require_integers, _serial_rows, segment_clip
 
 _GRAD_TOL = 1e-9  # the gradient certificate's relative tolerance
 _LINE_PASSES = 64  # line-search passes before it settles for the step it has
@@ -115,6 +123,50 @@ def _line_search(r: np.ndarray, q: np.ndarray, dp: float, pp: float, two_c: floa
     return t
 
 
+def _ray_search(q: np.ndarray, margin: float, pp: float, two_c: float) -> float:
+    """The ``t > 0`` minimizing ``0.5 * t**2 * pp + reg_c * sum max(0, margin
+    + t q)^2``: the line search from the zero kernel, where every pair's
+    residual is ``margin``, along a direction ``p`` (``pp = <p, p>``) whose
+    slope at 0, ``two_c * margin * sum(q)``, is negative.
+
+    A pair with ``q >= 0`` stays active for every ``t > 0``, and one with
+    ``q < 0`` leaves at ``-margin / q``, the most negative first. Between two
+    such ends the slope is linear, ``t * (pp + two_c * S2) + two_c * margin *
+    S1`` with ``S1`` and ``S2`` the sums of the active ``q`` and ``q**2``, and
+    it increases throughout. The minimizer is the root of the first piece
+    whose slope is not negative at its end: at the end ``-margin / q_k``
+    that slope has the sign of ``pp + two_c * (S2 - q_k S1)``.
+    """
+    leaving = np.sort(q[q < 0.0])
+    # Piece k keeps leaving[k:] and every q >= 0 active; its sums are the
+    # totals less those of leaving[:k].
+    squares = leaving * leaving
+    s1 = float(q.sum()) - np.cumsum(leaving)
+    s1 += leaving
+    s2 = float(np.einsum("i,i->", q, q)) - np.cumsum(squares)
+    s2 += squares
+    rising = pp + two_c * (s2 - leaving * s1) >= 0.0
+    k = int(np.argmax(rising)) if rising.any() else len(leaving)
+    # The sums again over that piece's own pairs, free of the cancellation in
+    # the totals. (A BLAS dot over more than 10,000 pairs would run threaded.)
+    active = np.concatenate([q[q >= 0.0], leaving[k:]])
+    curv = float(np.einsum("i,i->", active, active))
+    return -two_c * margin * float(active.sum()) / (pp + two_c * curv)
+
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` taken in blocks of rows that OpenBLAS runs on the calling
+    thread. A row may differ from that of one call in its last bits, since
+    OpenBLAS picks its kernel by the shape of the product."""
+    rows = _serial_rows(a.shape[1] * b.shape[1])
+    if rows >= a.shape[0]:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        np.matmul(a[start : start + rows], b, out=out[start : start + rows])
+    return out
+
+
 def solve_rank_kernel(
     frames: np.ndarray, config: RankPoolConfig
 ) -> tuple[np.ndarray, list[float]]:
@@ -133,8 +185,14 @@ def solve_rank_kernel(
     - a step that does not lower ``f`` (it is not taken). When ``reg_c``
       times the squared frame differences is huge (about 1e12 for frames in
       the millions at the default ``reg_c``), residual rounding keeps the
-      gradient above the certificate, and this rule ends the solve;
+      gradient above the certificate, and this rule ends the solve. A full
+      Newton step that keeps every pair's activity is taken all the same:
+      it lands on the optimum, and only rounding failed the comparison. It
+      is not traced, and its ``f`` differs from the last traced one by
+      rounding;
     - ``max_epochs`` iterations.
+
+    The first iteration, from the zero kernel, is counted like every other.
     """
     v = np.asarray(frames, dtype=np.float64)
     n, dim = v.shape
@@ -164,31 +222,51 @@ def solve_rank_kernel(
         f = 0.5 * float(d @ d) + reg_c * float(np.einsum("i,i->", hinge, hinge))
         return r, active, hinge, f
 
+    # At the zero kernel every pair is active at the residual ``margin``
+    # (frame i is the larger of i pairs and the smaller of n - 1 - i), so the
+    # first iteration needs no pair list; see the module docstring.
     d = np.zeros(dim)
-    r, active, hinge, f_curr = evaluate(d)
+    r = None  # the pair residuals at d, once d is no longer the zero kernel
+    f_curr = reg_c * margin**2 * len(ia)
     trace = [f_curr]
     for _ in range(config.max_epochs):
-        act_a, act_b = ia[active], ib[active]
-        into_a = np.bincount(act_a, hinge, minlength=n)
-        into_b = np.bincount(act_b, hinge, minlength=n)
+        if r is None:
+            into_a, into_b = margin * per_row, margin * (n - 1 - per_row)
+        else:
+            act_a, act_b = ia[active], ib[active]
+            into_a = np.bincount(act_a, hinge, minlength=n)
+            into_b = np.bincount(act_b, hinge, minlength=n)
         grad = d - two_c * (w.T @ (into_a - into_b))
         terms = np.linalg.norm(w_abs.T @ (into_a + into_b))
         if np.linalg.norm(grad) <= _GRAD_TOL * (np.linalg.norm(d) + two_c * terms):
             break
-        adjacency = np.zeros(n * n)
-        adjacency[cells[active]] = 1.0
-        cross = w.T @ (adjacency.reshape(n, n) @ w)
-        degree = np.bincount(act_a, minlength=n) + np.bincount(act_b, minlength=n)
-        hessian = (w.T * degree) @ w - cross - cross.T
+        if r is None:
+            total = w.sum(axis=0)
+            hessian = n * (w.T @ w) - np.outer(total, total)
+        else:
+            adjacency = np.zeros(n * n)
+            adjacency[cells[active]] = 1.0
+            cross = w.T @ _serial_matmul(adjacency.reshape(n, n), w)
+            degree = np.bincount(act_a, minlength=n) + np.bincount(act_b, minlength=n)
+            hessian = (w.T * degree) @ w - cross - cross.T
         hessian *= two_c
         hessian.flat[:: dim + 1] += 1.0
         p = np.linalg.solve(hessian, -grad)
         if not float(grad @ p) < 0.0:
             break
-        t = _line_search(r, drop(w @ p), float(d @ p), float(p @ p), two_c)
+        q = drop(w @ p)
+        if r is None:
+            t = _ray_search(q, margin, float(p @ p), two_c)
+        else:
+            t = _line_search(r, q, float(d @ p), float(p @ p), two_c)
         d_try = d + t * p
         r_try, active_try, hinge_try, f_try = evaluate(d_try)
         if not f_try < f_curr:
+            # A full Newton step that keeps every pair's activity lands on the
+            # minimizer of d's piece, where f is stationary: the comparison
+            # failed on rounding, not on the step. The solve ends there.
+            if r is not None and t == 1.0 and np.array_equal(active_try, active):
+                d = d_try
             break
         d, r, active, hinge, f_curr = d_try, r_try, active_try, hinge_try, f_try
         trace.append(f_curr)

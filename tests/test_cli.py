@@ -345,6 +345,20 @@ class TestReportCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {bad}: {where}\n"
 
+    @pytest.mark.parametrize(
+        "command", [["report"], ["sweep", "--omegas", "1"]], ids=["report", "sweep"]
+    )
+    def test_sidecar_without_rows_is_usage_error_naming_the_file(
+        self, run_dir, tmp_path, capsys, command
+    ):
+        payload = json.loads((run_dir / "report.json").read_text())
+        payload["rows"] = []
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(payload))
+        code = main([command[0], "--report", str(empty), *command[1:]])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {empty}: rows is empty\n"
+
     def test_out_creates_directories_and_provenance(self, run_dir, tmp_path):
         target = tmp_path / "new" / "dir" / "report.txt"
         code = main(["report", "--report", str(run_dir / "report.json"), "--out", str(target)])

@@ -17,7 +17,7 @@ from aufusion.gmm import (
     save_gmm,
     score_pair,
 )
-from aufusion.ingest import AU_COUNT, AUClip, Label, SynthConfig, synth_corpus
+from aufusion.ingest import _SERIAL_MACS, AU_COUNT, AUClip, Label, SynthConfig, synth_corpus
 
 
 def random_model(rng, k, dim):
@@ -208,6 +208,19 @@ class TestLogLikelihood:
         rng = np.random.default_rng(11)
         model = random_model(rng, k=3, dim=4)
         frames = rng.normal(size=(2 * gmm._CHUNK + 7, 4))
+        per_frame = math.fsum(log_likelihood(model, x[None, :]) for x in frames)
+        assert log_likelihood(model, frames) == pytest.approx(per_frame, rel=1e-12)
+
+    def test_chunks_shrink_above_32_components(self):
+        # Up to 32 components a pass keeps 512 frames; above, each chunk
+        # matmul stays under the multiply-adds OpenBLAS threads at.
+        assert gmm._chunk_frames(32, 17) == gmm._chunk_frames(3, 4) == gmm._CHUNK == 512
+        for k in (33, 48, 64, 128, 2048):
+            chunk = gmm._chunk_frames(k, 17)
+            assert 1 <= chunk < gmm._CHUNK and k * 34 * chunk < _SERIAL_MACS
+        rng = np.random.default_rng(12)
+        model = random_model(rng, k=64, dim=17)
+        frames = rng.normal(size=(2 * gmm._chunk_frames(64, 17) + 7, 17))
         per_frame = math.fsum(log_likelihood(model, x[None, :]) for x in frames)
         assert log_likelihood(model, frames) == pytest.approx(per_frame, rel=1e-12)
 
