@@ -46,6 +46,7 @@ from .ingest import AUClip, Segment, _freeze, _require_integers, _serial_rows, s
 
 _GRAD_TOL = 1e-9  # the gradient certificate's relative tolerance
 _LINE_PASSES = 64  # line-search passes before it settles for the step it has
+_RAY_BLOCK = 128  # leaving pairs per block of the ray search's first scan
 
 
 class SegmentTooShort(ValueError):
@@ -138,15 +139,32 @@ def _ray_search(q: np.ndarray, margin: float, pp: float, two_c: float) -> float:
     that slope has the sign of ``pp + two_c * (S2 - q_k S1)``.
     """
     leaving = np.sort(q[q < 0.0])
-    # Piece k keeps leaving[k:] and every q >= 0 active; its sums are the
-    # totals less those of leaving[:k].
-    squares = leaving * leaving
-    s1 = float(q.sum()) - np.cumsum(leaving)
-    s1 += leaving
-    s2 = float(np.einsum("i,i->", q, q)) - np.cumsum(squares)
-    s2 += squares
-    rising = pp + two_c * (s2 - leaving * s1) >= 0.0
-    k = int(np.argmax(rising)) if rising.any() else len(leaving)
+    total1, total2 = float(q.sum()), float(np.einsum("i,i->", q, q))
+
+    def turned(lead, gone1, gone2):
+        """Whether the slope is not negative at the ends ``-margin / lead``,
+        given the sums of ``q`` and ``q**2`` over the pairs gone before each."""
+        return pp + two_c * ((total2 - gone2) - lead * (total1 - gone1)) >= 0.0
+
+    def first(flags):
+        return int(np.argmax(flags)) if flags.any() else len(flags)
+
+    # The ends at block starts first, from block sums; then the ends inside
+    # the one block where the slope turns. Prefix sums over every leaving
+    # pair would cost more than the sort.
+    starts = np.arange(0, len(leaving), _RAY_BLOCK)
+    sums1 = np.add.reduceat(leaving, starts)
+    sums2 = np.add.reduceat(leaving * leaving, starts)
+    gone1, gone2 = np.cumsum(sums1) - sums1, np.cumsum(sums2) - sums2
+    block = first(turned(leaving[starts], gone1, gone2)) - 1
+    k = 0
+    if block >= 0:
+        lo = starts[block]
+        part = leaving[lo : lo + _RAY_BLOCK]
+        squares = part * part
+        inside1 = gone1[block] + np.cumsum(part) - part
+        inside2 = gone2[block] + np.cumsum(squares) - squares
+        k = lo + first(turned(part, inside1, inside2))
     # The sums again over that piece's own pairs, free of the cancellation in
     # the totals. (A BLAS dot over more than 10,000 pairs would run threaded.)
     active = np.concatenate([q[q >= 0.0], leaving[k:]])

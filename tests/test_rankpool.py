@@ -560,7 +560,7 @@ class TestZeroKernelStart:
         rng = np.random.default_rng(int(two_c * 1000) + int(margin * 4))
         checked = 0
         while checked < 100:
-            q = rng.normal(-1.0, 1.0, size=int(rng.integers(1, 300)))
+            q = rng.normal(-1.0, 1.0, size=int(rng.integers(1, 3000)))
             q *= 10.0 ** rng.uniform(-2, 2)
             pp = newton_pp(q, margin, two_c)
             if pp > 0:
@@ -582,6 +582,11 @@ class TestZeroKernelStart:
                 t = assert_same_ray_minimum(q, 1.0, pp, 2.0)
                 past_an_end += t > -1.0 / q.min()
         assert past_an_end >= 20
+        # 300 pairs that leave together at t = 2/3 span three blocks of the
+        # search's first scan, and the minimum lies past them.
+        q = np.array([-1.5] * 300 + [-0.1] * 4000)
+        t = assert_same_ray_minimum(q, 1.0, newton_pp(q, 1.0, 2.0), 2.0)
+        assert 2.0 / 3.0 < t < 10.0
 
     def test_ray_search_with_a_single_pair(self):
         # n = 2: the pair leaves at -margin / q, after the Newton step's t = 1.
