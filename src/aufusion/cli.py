@@ -1,18 +1,19 @@
 """Command-line front end for the AU depression-classification pipeline.
 
 Subcommands cover the whole workflow: ``synth`` writes a synthetic corpus,
-``fit-gmm`` and ``train-mlp`` build the class mixtures and the segment vote
-classifier from a corpus (``train-mlp`` rank-pools its clips in-process),
-``score`` classifies a single clip, ``loocv`` runs the leave-one-out
-protocol, ``sweep`` re-fuses a cached run across vote weights, and
-``report`` re-renders a cached run's table.
+``train`` fits the two class mixtures and the segment vote classifier on a
+corpus (rank-pooling its clips in-process) and writes them to one model
+file, ``score`` classifies a single clip with such a file, ``loocv`` runs
+the leave-one-out protocol, ``sweep`` re-fuses a cached run across vote
+weights, and ``report`` re-renders a cached run's table.
 
 Each subcommand takes the flags of the pipeline stages it runs, each with a
 default shown in ``--help``; a JSON config file can supply values for those
-flags, but explicit flags win. All randomness flows from ``--seed``;
-``fit-gmm`` and ``train-mlp`` derive their model seeds from it as a
+flags, but explicit flags win. ``score`` takes only the fusion flags: it
+pools a clip with the settings stored in the model file. All randomness
+flows from ``--seed``; ``train`` derives its model seeds from it as a
 leave-one-out fold does from its fold seed, so at a fold's seed, on its
-training clips, they rebuild that fold's models. Every run that writes
+training clips, it rebuilds that fold's models. Every run that writes
 outputs also writes a provenance file with the resolved configuration. Exit
 codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
@@ -30,22 +31,20 @@ from pathlib import Path
 from . import __version__
 from .evaluate import (
     PipelineConfig,
-    fit_class_gmms,
-    fit_classifier,
+    fit_models,
+    load_model,
     load_sidecar,
     loocv,
     pool_corpus,
     render_report,
     report_from_sidecar,
+    save_model,
     score_clip,
     sweep_from_sidecar,
     write_report_files,
 )
-from .gmm import likelihood_ratio_decision, load_gmm, save_gmm
-from .ingest import (
-    Label, SynthConfig, read_clip, read_corpus, read_json, synth_corpus, write_corpus
-)
-from .mlp import load_mlp, save_mlp
+from .gmm import likelihood_ratio_decision
+from .ingest import SynthConfig, read_clip, read_corpus, read_json, synth_corpus, write_corpus
 
 
 class ValidationError(ValueError):
@@ -182,44 +181,27 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_fit_gmm(args) -> int:
-    corpus = read_corpus(args.corpus)
-    corpus.require_labels()
-    pipeline = _pipeline_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fitted = fit_class_gmms(corpus.clips, pipeline, pipeline.seed)
-    for (label, name), (model, config) in zip(
-        ((Label.DEPRESSED, "gmm-depressed.json"), (Label.NONDEPRESSED, "gmm-nondepressed.json")),
-        fitted,
-    ):
-        save_gmm(model, out / name, config)
-        print(f"fitted {label.value}: {model.n} components -> {out / name}")
-    _write_provenance(out, "fit-gmm", args)
-    return 0
-
-
-def cmd_train_mlp(args) -> int:
+def cmd_train(args) -> int:
     corpus = read_corpus(args.corpus)
     corpus.require_labels()
     pipeline = _pipeline_from_args(args)
     descriptors = pool_corpus(corpus, pipeline)
-    model, config = fit_classifier(corpus.clips, descriptors, pipeline, pipeline.seed)
+    models = fit_models(corpus.clips, descriptors, pipeline, pipeline.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_mlp(model, out, config)
-    _write_provenance(out, "train-mlp", args)
-    print(f"trained on {sum(map(len, descriptors.values()))} descriptors -> {out}")
+    save_model(out, models, pipeline)
+    _write_provenance(out, "train", args)
+    n_windows = sum(map(len, descriptors.values()))
+    print(f"trained on {len(corpus)} clips and {n_windows} windows -> {out}")
     return 0
 
 
 def cmd_score(args) -> int:
     clip_path = _require_file(args.clip, "clip CSV")
-    dep_model, _ = load_gmm(_require_file(args.gmm_dep, "depressed model"))
-    ndep_model, _ = load_gmm(_require_file(args.gmm_ndep, "non-depressed model"))
-    mlp_model, _ = load_mlp(_require_file(args.mlp, "segment classifier model"))
+    model_path = _require_file(args.model, "model file")
+    models, pipeline = load_model(model_path, _pipeline_from_args(args))
     clip = read_clip(clip_path, clip_path.stem)
-    result, _ = score_clip(clip, (dep_model, ndep_model, mlp_model), _pipeline_from_args(args))
+    result, _ = score_clip(clip, models, pipeline)
     header = "participant_id\tll_dep\tll_ndep\tn_segments\tn_dep_votes\tscore\tdecision"
     numbers = (result.ll_dep, result.ll_ndep, result.n_segments, result.n_dep_votes, result.score)
     line = "\t".join([clip.participant_id, *map(repr, numbers), result.decision.value])
@@ -324,25 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output corpus directory")
     _add_flags(p, _SYNTH_FLAGS, SynthConfig())
 
-    p = command("fit-gmm", "fit both class mixtures on a corpus", cmd_fit_gmm)
-    p.add_argument("--corpus", required=True, help="corpus directory")
-    p.add_argument("--out", required=True, help="output model directory")
-    _add_pipeline_args(p, MIXTURE, SEED)
-
-    p = command(
-        "train-mlp", "rank-pool a corpus and train the segment vote classifier", cmd_train_mlp
-    )
+    p = command("train", "fit all three models on a corpus into one model file", cmd_train)
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="model JSON path")
-    _add_pipeline_args(p, POOLING, CLASSIFIER, SEED)
+    _add_pipeline_args(p, MIXTURE, POOLING, CLASSIFIER, SEED)
 
     p = command("score", "score one clip through all systems", cmd_score)
     p.add_argument("--clip", required=True, help="clip CSV")
-    p.add_argument("--gmm-dep", required=True, help="depressed mixture JSON")
-    p.add_argument("--gmm-ndep", required=True, help="non-depressed mixture JSON")
-    p.add_argument("--mlp", required=True, help="segment classifier JSON")
+    p.add_argument("--model", required=True, help="model JSON written by train")
     p.add_argument("--out", default=None, help="optional row output path")
-    _add_pipeline_args(p, POOLING, FUSION)
+    _add_pipeline_args(p, FUSION)
 
     p = command("loocv", "leave-one-out evaluation", cmd_loocv)
     p.add_argument("--corpus", required=True, help="corpus directory")
@@ -427,6 +400,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):
         if expected:
             found = json.dumps(value)
             raise ValidationError(f"{path}: key {key!r}: expected {expected}, found {found}")
+        if actions[key].type is float and value is not None:
+            values[key] = float(value)  # as the flag would parse it: 1 -> 1.0
     subparser.set_defaults(**values)
     for action in subparser._actions:  # noqa: SLF001
         if action.dest in values:

@@ -70,6 +70,8 @@ class PipelineConfig:
     gmm_fit_frames: int | None = None
 
     def __post_init__(self):
+        _require_integers(self, "window", "stride")
+        check_segmentable((), self.window, self.stride)
         if self.gmm_fit_frames is not None:
             _require_integers(self, "gmm_fit_frames")
             if self.gmm_fit_frames < 1:
@@ -133,12 +135,14 @@ def fold_seed(root_seed: int, participant_id: str) -> int:
 
 
 def hash_gmm(model: GmmModel) -> str:
-    """Digest of the JSON ``save_gmm`` writes for the model."""
+    """Digest of the model's ``gmm_json`` text, the bytes of a version-1
+    mixture file, so report rows keep their hashes across model formats."""
     return hashlib.sha256(gmm_json(model).encode()).hexdigest()[:16]
 
 
 def hash_mlp(model: MlpModel) -> str:
-    """Digest of the JSON ``save_mlp`` writes for the model."""
+    """Digest of the model's ``mlp_json`` text, the bytes of a version-1
+    classifier file, so report rows keep their hashes across model formats."""
     return hashlib.sha256(mlp_json(model).encode()).hexdigest()[:16]
 
 
@@ -161,29 +165,21 @@ def segment_votes(model: MlpModel, descriptors: np.ndarray) -> list[int]:
     return [int(p > 0.5) for p in predict_probs(model, descriptors)]
 
 
-def fit_class_gmms(
-    clips: list[AUClip], pipeline: PipelineConfig, seed: int
-) -> tuple[tuple[GmmModel, EmConfig], tuple[GmmModel, EmConfig]]:
-    """Fit the depressed mixture at ``seed`` and the non-depressed one at
-    ``seed + 1``, each on its class's pooled frames capped at
-    ``pipeline.gmm_fit_frames``. Returns each model with its config."""
-    pooled = pooled_class_frames(clips)
-    fitted = []
-    for offset, label in enumerate((Label.DEPRESSED, Label.NONDEPRESSED)):
-        config = replace(pipeline.em, seed=seed + offset)
-        frames = _subsample(pooled[label], pipeline.gmm_fit_frames)
-        fitted.append((fit_em(frames, config), config))
-    return tuple(fitted)
-
-
-def fit_classifier(
+def fit_models(
     clips: list[AUClip], descriptors: dict[str, np.ndarray], pipeline: PipelineConfig, seed: int
-) -> tuple[MlpModel, TrainConfig]:
-    """Train the vote classifier at ``seed + 2`` on the clips' descriptors,
-    after the two mixtures ``fit_class_gmms`` seeds at ``seed`` and
-    ``seed + 1``. Returns the model with its config."""
+) -> tuple[GmmModel, GmmModel, MlpModel]:
+    """The (depressed, non-depressed, vote) models of ``clips``: the depressed
+    mixture fitted at ``seed`` and the non-depressed one at ``seed + 1``, each
+    on its class's pooled frames capped at ``pipeline.gmm_fit_frames``, and
+    the vote classifier trained at ``seed + 2`` on the clips' descriptors."""
+    pooled = pooled_class_frames(clips)
+    dep_model, ndep_model = (
+        fit_em(_subsample(pooled[label], pipeline.gmm_fit_frames),
+               replace(pipeline.em, seed=seed + offset))
+        for offset, label in enumerate((Label.DEPRESSED, Label.NONDEPRESSED))
+    )
     config = replace(pipeline.mlp, seed=seed + 2)
-    return train_mlp(*training_set(clips, descriptors), config), config
+    return dep_model, ndep_model, train_mlp(*training_set(clips, descriptors), config)
 
 
 def training_set(
@@ -210,10 +206,65 @@ def train_fold_models(
         raise InsufficientClass(
             f"training set for fold {held_out_id!r} is missing a class"
         )
-    seed = fold_seed(pipeline.seed, held_out_id)
-    (dep_model, _), (ndep_model, _) = fit_class_gmms(train_clips, pipeline, seed)
-    mlp_model, _ = fit_classifier(train_clips, descriptors, pipeline, seed)
-    return dep_model, ndep_model, mlp_model
+    return fit_models(train_clips, descriptors, pipeline, fold_seed(pipeline.seed, held_out_id))
+
+
+MODEL_VERSION = 2
+
+
+def _model_arrays(model: GmmModel | MlpModel) -> dict:
+    """The model's fields as JSON lists; floats keep shortest round-trip
+    precision, so reloading is bit-stable."""
+    return {f.name: getattr(model, f.name).tolist() for f in fields(model)}
+
+
+def save_model(
+    path: str | Path, models: tuple[GmmModel, GmmModel, MlpModel], pipeline: PipelineConfig
+):
+    """Write the (depressed, non-depressed, vote) models to one JSON file,
+    each under the key of its role, with the pooling settings of
+    ``pipeline`` they were trained with."""
+    dep_model, ndep_model, mlp_model = models
+    payload = {
+        "format_version": MODEL_VERSION,
+        "window": pipeline.window,
+        "stride": pipeline.stride,
+        "rankpool": asdict(pipeline.rankpool),
+        "depressed": _model_arrays(dep_model),
+        "nondepressed": _model_arrays(ndep_model),
+        "mlp": _model_arrays(mlp_model),
+    }
+    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+
+
+def load_model(
+    path: str | Path, pipeline: PipelineConfig
+) -> tuple[tuple[GmmModel, GmmModel, MlpModel], PipelineConfig]:
+    """The models ``save_model`` wrote to ``path``, and ``pipeline`` with the
+    pooling settings stored beside them. A file of another format version,
+    or one missing a key or holding a value the models or the pipeline
+    reject, raises a ValueError naming the file."""
+    payload = read_json(path)
+    version = payload.get("format_version")
+    if version != MODEL_VERSION:
+        raise ValueError(f"{path}: unsupported model format: {version}")
+    try:
+        trained = replace(
+            pipeline,
+            window=payload["window"],
+            stride=payload["stride"],
+            rankpool=RankPoolConfig(**payload["rankpool"]),
+        )
+        models = (
+            GmmModel(**payload["depressed"]),
+            GmmModel(**payload["nondepressed"]),
+            MlpModel(**payload["mlp"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return models, trained
 
 
 def score_clip(

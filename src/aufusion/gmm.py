@@ -27,17 +27,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .ingest import AUClip, Label, _require_integers, _serial_rows, read_json
+from .ingest import AUClip, Label, _require_integers, _serial_rows
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -320,35 +317,15 @@ def likelihood_ratio_decision(ll_dep: float, ll_ndep: float) -> Label:
     return Label.DEPRESSED if ll_dep > ll_ndep else Label.NONDEPRESSED
 
 
-def gmm_json(model: GmmModel, config: EmConfig | None = None) -> str:
-    """The model's saved form; floats keep shortest round-trip precision so
-    reloading is bit-stable."""
+def gmm_json(model: GmmModel) -> str:
+    """The model in the layout of a version-1 mixture file, the text that
+    ``evaluate.hash_gmm`` digests; floats keep shortest round-trip precision."""
     payload = {
-        "format_version": FORMAT_VERSION,
+        "format_version": 1,
         "n": model.n,
         "weights": model.weights.tolist(),
         "means": model.means.tolist(),
         "variances": model.variances.tolist(),
-        "em_config": asdict(config) if config is not None else None,
+        "em_config": None,
     }
     return json.dumps(payload, indent=1) + "\n"
-
-
-def save_gmm(model: GmmModel, path: str | Path, config: EmConfig | None = None):
-    Path(path).write_text(gmm_json(model, config), encoding="utf-8")
-
-
-def load_gmm(path: str | Path) -> tuple[GmmModel, EmConfig | None]:
-    payload = read_json(path, ("weights", "means", "variances", "em_config"))
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format: {payload.get('format_version')}")
-    try:
-        model = GmmModel(
-            np.array(payload["weights"]),
-            np.array(payload["means"]),
-            np.array(payload["variances"]),
-        )
-        config = EmConfig(**payload["em_config"]) if payload["em_config"] else None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return model, config

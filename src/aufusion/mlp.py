@@ -14,14 +14,11 @@ deterministic given the config seed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import _require_integers, read_json
-
-FORMAT_VERSION = 1
+from .ingest import _require_integers
 
 _PROB_EPS = 1e-15  # keep predicted probabilities strictly inside (0, 1)
 
@@ -80,6 +77,10 @@ class MlpModel:
             raise ValueError("inconsistent layer shapes")
         if self.w3.shape != (self.w2.shape[1], 1):
             raise ValueError("output layer must map to a single unit")
+        if self.input_mean.shape != self.w1.shape[:1] or self.input_std.shape != self.w1.shape[:1]:
+            raise ValueError("input normalization must match the input layer")
+        if not (self.input_std > 0).all():
+            raise ValueError("input_std must be positive")
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in ("w1", "b1", "w2", "b2", "w3", "b3")}
@@ -199,35 +200,15 @@ def predict_probs(model: MlpModel, descriptors) -> np.ndarray:
     return _forward(model.params(), (x - model.input_mean) / model.input_std)[-1]
 
 
-def mlp_json(model: MlpModel, config: TrainConfig | None = None) -> str:
-    """The model's saved form."""
+def mlp_json(model: MlpModel) -> str:
+    """The model in the layout of a version-1 classifier file, the text that
+    ``evaluate.hash_mlp`` digests."""
     payload = {
-        "format_version": FORMAT_VERSION,
+        "format_version": 1,
         "shapes": {k: list(v.shape) for k, v in model.params().items()},
         "params": {k: v.tolist() for k, v in model.params().items()},
         "input_mean": model.input_mean.tolist(),
         "input_std": model.input_std.tolist(),
-        "train_config": asdict(config) if config is not None else None,
+        "train_config": None,
     }
     return json.dumps(payload, indent=1) + "\n"
-
-
-def save_mlp(model: MlpModel, path: str | Path, config: TrainConfig | None = None):
-    Path(path).write_text(mlp_json(model, config), encoding="utf-8")
-
-
-def load_mlp(path: str | Path) -> tuple[MlpModel, TrainConfig | None]:
-    payload = read_json(path, ("params", "input_mean", "input_std", "train_config"))
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format: {payload.get('format_version')}")
-    try:
-        arrays = {k: np.array(v) for k, v in payload["params"].items()}
-        model = MlpModel(
-            **arrays,
-            input_mean=np.array(payload["input_mean"]),
-            input_std=np.array(payload["input_std"]),
-        )
-        config = TrainConfig(**payload["train_config"]) if payload["train_config"] else None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return model, config

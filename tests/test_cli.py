@@ -9,14 +9,12 @@ from pathlib import Path
 import pytest
 
 from aufusion.cli import _pipeline_from_args, build_parser, main
-from aufusion.evaluate import PipelineConfig, fold_seed, hash_gmm, hash_mlp
-from aufusion.gmm import load_gmm
+from aufusion.evaluate import PipelineConfig, fold_seed, hash_gmm, hash_mlp, load_model
+from aufusion.gmm import gmm_json
 from aufusion.ingest import Corpus, read_corpus, write_corpus
-from aufusion.mlp import load_mlp
 
 MIXTURE_FLAGS = ["--components", "4", "--n-init", "1"]
-CLASSIFIER_FLAGS = ["--mlp-epochs", "60"]
-FAST_FLAGS = MIXTURE_FLAGS + CLASSIFIER_FLAGS
+FAST_FLAGS = MIXTURE_FLAGS + ["--mlp-epochs", "60"]
 
 
 def tree_digest(root: Path) -> dict:
@@ -71,13 +69,18 @@ def run_dir(tmp_path_factory):
 def workspace(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("models")
     corpus = synth(tmp_path)
-    models = tmp_path / "models"
-    assert main(["fit-gmm", "--corpus", str(corpus), "--out", str(models), *MIXTURE_FLAGS]) == 0
-    mlp_path = tmp_path / "mlp.json"
-    assert main(
-        ["train-mlp", "--corpus", str(corpus), "--out", str(mlp_path), *CLASSIFIER_FLAGS]
-    ) == 0
-    return tmp_path, corpus, models, mlp_path
+    model = tmp_path / "model.json"
+    assert main(["train", "--corpus", str(corpus), "--out", str(model), *FAST_FLAGS]) == 0
+    return tmp_path, corpus, model
+
+
+def score_row(clip: Path, model: Path, capsys) -> list[str]:
+    """The fields of the row ``score`` prints for the clip."""
+    capsys.readouterr()
+    assert main(["score", "--clip", str(clip), "--model", str(model)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.startswith("participant_id\t")
+    return row.split("\t")
 
 
 class TestLoocvCommand:
@@ -112,7 +115,7 @@ class TestLoocvCommand:
     def test_corpus_path_that_is_a_file_is_usage_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.csv"
         corpus.write_text("")
-        code = main(["train-mlp", "--corpus", str(corpus), "--out", str(tmp_path / "m.json")])
+        code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert f"no manifest.jsonl in {corpus}" in capsys.readouterr().err
 
@@ -240,44 +243,32 @@ class TestSweepCommand:
 
 class TestModelCommands:
     def test_artifacts_written(self, workspace):
-        _, _, models, mlp_path = workspace
-        assert (models / "gmm-depressed.json").is_file()
-        assert (models / "gmm-nondepressed.json").is_file()
-        assert mlp_path.is_file()
-        assert mlp_path.with_name("mlp.json.provenance.json").is_file()
+        _, _, model = workspace
+        assert model.is_file()
+        assert model.with_name("model.json.provenance.json").is_file()
 
     def test_score_clip(self, workspace, capsys):
-        _, corpus, models, mlp_path = workspace
-        clip = corpus / "clips" / "P001.csv"
-        code = main(
-            ["score", "--clip", str(clip),
-             "--gmm-dep", str(models / "gmm-depressed.json"),
-             "--gmm-ndep", str(models / "gmm-nondepressed.json"),
-             "--mlp", str(mlp_path)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("participant_id\t")
-        fields = out[1].split("\t")
+        _, corpus, model = workspace
+        fields = score_row(corpus / "clips" / "P001.csv", model, capsys)
         assert fields[0] == "P001"
         assert fields[-1] in ("Depressed", "NonDepressed")
 
     def test_zero_variance_floor_is_usage_error_without_outputs(self, workspace, capsys):
-        tmp_path, corpus, _, _ = workspace
-        out = tmp_path / "never"
+        tmp_path, corpus, _ = workspace
+        out = tmp_path / "never" / "model.json"
         code = main(
-            ["fit-gmm", "--corpus", str(corpus), "--out", str(out),
+            ["train", "--corpus", str(corpus), "--out", str(out),
              "--variance-floor", "0", *MIXTURE_FLAGS]
         )
         assert code == 2
         assert "variance_floor must be positive" in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.parent.exists()
 
-    @pytest.mark.parametrize("command, frames", [("fit-gmm", "0"), ("loocv", "-5")])
+    @pytest.mark.parametrize("command, frames", [("train", "0"), ("loocv", "-5")])
     def test_gmm_fit_frames_below_one_is_usage_error_without_outputs(
         self, workspace, capsys, command, frames
     ):
-        tmp_path, corpus, _, _ = workspace
+        tmp_path, corpus, _ = workspace
         out = tmp_path / "never"
         code = main(
             [command, "--corpus", str(corpus), "--out", str(out), "--gmm-fit-frames", frames]
@@ -286,25 +277,37 @@ class TestModelCommands:
         assert capsys.readouterr().err == "error: gmm_fit_frames must be >= 1\n"
         assert not out.exists()
 
-    def test_fit_gmm_and_train_mlp_at_a_fold_seed_rebuild_the_fold_models(self, run_dir, tmp_path):
-        row = json.loads((run_dir / "report.json").read_text())["rows"][1]
+    def test_train_at_a_fold_seed_then_score_reproduces_the_fold_row(self, tmp_path, capsys):
+        corpus = synth(tmp_path)
+        pooling = ["--window", "100", "--stride", "50"]
+        run = tmp_path / "run"
+        assert main(
+            ["loocv", "--corpus", str(corpus), "--out", str(run), "--jobs", "1",
+             *pooling, *FAST_FLAGS]
+        ) == 0
+        row = json.loads((run / "report.json").read_text())["rows"][1]
         held_out = row["participant_id"]
-        clips = read_corpus(run_dir.parent / "corpus").clips
         train = tmp_path / "train"
+        clips = read_corpus(corpus).clips
         write_corpus(Corpus([c for c in clips if c.participant_id != held_out]), train)
-        seed = str(fold_seed(7, held_out))
-        models, mlp_path = tmp_path / "models", tmp_path / "mlp.json"
+        model = tmp_path / "model.json"
         assert main(
-            ["fit-gmm", "--corpus", str(train), "--out", str(models), "--seed", seed,
-             *MIXTURE_FLAGS]
+            ["train", "--corpus", str(train), "--out", str(model),
+             "--seed", str(fold_seed(7, held_out)), *pooling, *FAST_FLAGS]
         ) == 0
-        assert main(
-            ["train-mlp", "--corpus", str(train), "--out", str(mlp_path), "--seed", seed,
-             *CLASSIFIER_FLAGS]
-        ) == 0
-        assert hash_gmm(load_gmm(models / "gmm-depressed.json")[0]) == row["gmm_dep_hash"]
-        assert hash_gmm(load_gmm(models / "gmm-nondepressed.json")[0]) == row["gmm_ndep_hash"]
-        assert hash_mlp(load_mlp(mlp_path)[0]) == row["mlp_hash"]
+        # No pooling flag: score pools as the model file says.
+        fields = score_row(corpus / "clips" / f"{held_out}.csv", model, capsys)
+        assert fields == [
+            held_out,
+            *map(repr, (row["ll_dep"], row["ll_ndep"], row["n_segments"], row["n_dep_votes"],
+                        row["fused_score"])),
+            row["combined_decision"],
+        ]
+        assert row["n_segments"] == 8  # 450 frames in 100-frame windows 50 apart
+        (dep, ndep, mlp), _ = load_model(model, PipelineConfig())
+        assert [hash_gmm(dep), hash_gmm(ndep), hash_mlp(mlp)] == [
+            row["gmm_dep_hash"], row["gmm_ndep_hash"], row["mlp_hash"]
+        ]
 
 
 class TestReportCommand:
@@ -396,7 +399,7 @@ class TestConfigFile:
         assert len(read_corpus(out)) == 4
 
     def test_ambiguous_prefix_is_not_read_as_config(self, tmp_path, capsys):
-        argv = ["fit-gmm", "--corpus", "c", "--out", str(tmp_path / "m"), "--co", "4"]
+        argv = ["train", "--corpus", "c", "--out", str(tmp_path / "m"), "--co", "4"]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -429,14 +432,14 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "command, values, key, expected",
         [
-            ("train-mlp", {"rank_epochs": 2.5}, "rank_epochs", "an integer, found 2.5"),
-            ("train-mlp", {"window": 150.0}, "window", "an integer, found 150.0"),
-            ("train-mlp", {"window": True}, "window", "an integer, found true"),
-            ("fit-gmm", {"gmm_fit_frames": 1.5}, "gmm_fit_frames", "an integer or null, found 1.5"),
-            ("train-mlp", {"margin": "1"}, "margin", 'a number, found "1"'),
+            ("train", {"rank_epochs": 2.5}, "rank_epochs", "an integer, found 2.5"),
+            ("train", {"window": 150.0}, "window", "an integer, found 150.0"),
+            ("train", {"window": True}, "window", "an integer, found true"),
+            ("train", {"gmm_fit_frames": 1.5}, "gmm_fit_frames", "an integer or null, found 1.5"),
+            ("train", {"margin": "1"}, "margin", 'a number, found "1"'),
             ("score", {"raw_ll": "yes"}, "raw_ll", 'true or false, found "yes"'),
-            ("train-mlp", {"stride": None}, "stride", "an integer, found null"),
-            ("train-mlp", {"corpus": 3}, "corpus", "a string, found 3"),
+            ("train", {"stride": None}, "stride", "an integer, found null"),
+            ("train", {"corpus": 3}, "corpus", "a string, found 3"),
         ],
         ids=["int-float", "int-whole-float", "int-bool", "nullable-int", "float-string",
              "switch-string", "null-without-none-default", "path-number"],
@@ -448,9 +451,8 @@ class TestConfigFile:
         config.write_text(json.dumps(values))
         out = tmp_path / "out"
         required = {
-            "train-mlp": ["--corpus", "c"],
-            "fit-gmm": ["--corpus", "c"],
-            "score": ["--clip", "c.csv", "--gmm-dep", "d", "--gmm-ndep", "n", "--mlp", "m"],
+            "train": ["--corpus", "c"],
+            "score": ["--clip", "c.csv", "--model", "m"],
         }[command]
         code = main([command, "--config", str(config), *required, "--out", str(out)])
         assert code == 2
@@ -460,24 +462,22 @@ class TestConfigFile:
     def test_values_a_flag_could_give_are_taken(self, tmp_path):
         corpus = synth(tmp_path, n=2, frames=300)
         config = tmp_path / "config.json"
-        # An integer for a float flag works as that flag would.
-        config.write_text(json.dumps({"margin": 1, "reg_c": 1.0, "window": 150, "mlp_epochs": 5}))
-        out = tmp_path / "mlp.json"
-        argv = ["train-mlp", "--config", str(config), "--corpus", str(corpus), "--out", str(out)]
+        # An integer for a float flag works as that flag would, and null
+        # where the default is None.
+        config.write_text(json.dumps({"margin": 1, "reg_c": 1.0, "window": 150, "mlp_epochs": 5,
+                                      "gmm_fit_frames": None, "n_init": 1, "components": 2,
+                                      "em_iters": 3}))
+        out = tmp_path / "model.json"
+        argv = ["train", "--config", str(config), "--corpus", str(corpus), "--out", str(out)]
         assert main(argv) == 0
         flags = tmp_path / "flags.json"
-        argv = ["train-mlp", "--corpus", str(corpus), "--out", str(flags), "--mlp-epochs", "5"]
+        argv = ["train", "--corpus", str(corpus), "--out", str(flags), "--mlp-epochs", "5",
+                "--n-init", "1", "--components", "2", "--em-iters", "3"]
         assert main(argv) == 0
         assert out.read_bytes() == flags.read_bytes()
-        # null where the default is None.
-        config.write_text(json.dumps({"gmm_fit_frames": None, "n_init": 1, "components": 2,
-                                      "em_iters": 3}))
-        models = tmp_path / "models"
-        assert main(["fit-gmm", "--config", str(config), "--corpus", str(corpus),
-                     "--out", str(models)]) == 0
 
 
-SUBCOMMANDS = ["synth", "fit-gmm", "train-mlp", "score", "loocv", "sweep", "report"]
+SUBCOMMANDS = ["synth", "train", "score", "loocv", "sweep", "report"]
 
 
 def help_blocks(text: str) -> dict[str, str]:
@@ -517,35 +517,32 @@ class TestDefaults:
 
     def test_switches_and_unset_values(self):
         args = build_parser().parse_args(
-            ["score", "--clip", "c", "--gmm-dep", "d", "--gmm-ndep", "n", "--mlp", "m",
-             "--raw-ll", "--tau", "0.5"]
+            ["score", "--clip", "c", "--model", "m", "--raw-ll", "--tau", "0.5"]
         )
         pipeline = _pipeline_from_args(args)
         assert pipeline.fusion.normalize_ll is False
         assert pipeline.fusion.tau == 0.5
         args = build_parser().parse_args(
-            ["fit-gmm", "--corpus", "c", "--out", "o", "--gmm-fit-frames", "100"]
+            ["train", "--corpus", "c", "--out", "o", "--gmm-fit-frames", "100"]
         )
         assert _pipeline_from_args(args).gmm_fit_frames == 100
 
 
 # The pipeline flags of each subcommand, in usage and provenance order.
-POOLING = ["--window", "--stride", "--margin", "--reg-c", "--rank-epochs"]
+# ``score`` takes no pooling flag: it pools as the model file says.
+FUSION = ["--omega", "--tau", "--raw-ll"]
+TRAIN = ["--window", "--stride", "--components", "--em-iters", "--em-tol", "--variance-floor",
+         "--n-init", "--gmm-fit-frames", "--margin", "--reg-c", "--rank-epochs", "--hidden1",
+         "--hidden2", "--dropout", "--learning-rate", "--mlp-epochs", "--batch-size"]
 STAGE_FLAGS = {
-    "fit-gmm": ["--components", "--em-iters", "--em-tol", "--variance-floor", "--n-init",
-                "--gmm-fit-frames", "--seed"],
-    "train-mlp": POOLING + ["--hidden1", "--hidden2", "--dropout", "--learning-rate",
-                            "--mlp-epochs", "--batch-size", "--seed"],
-    "score": POOLING + ["--omega", "--tau", "--raw-ll"],
-    "loocv": ["--window", "--stride", "--components", "--em-iters", "--em-tol",
-              "--variance-floor", "--n-init", "--gmm-fit-frames", "--margin", "--reg-c",
-              "--rank-epochs", "--hidden1", "--hidden2", "--dropout", "--learning-rate",
-              "--mlp-epochs", "--batch-size", "--omega", "--tau", "--raw-ll", "--seed"],
+    "train": TRAIN + ["--seed"],
+    "score": FUSION,
+    "loocv": TRAIN + FUSION + ["--seed"],
     "sweep": [],
     "report": [],
 }
-IO_FLAGS = {"-h", "--help", "--config", "--corpus", "--out", "--clip",
-            "--gmm-dep", "--gmm-ndep", "--mlp", "--jobs", "--report", "--omegas"}
+IO_FLAGS = {"-h", "--help", "--config", "--corpus", "--out", "--clip", "--model", "--jobs",
+            "--report", "--omegas"}
 
 
 def pipeline_flags(command: str) -> list[str]:
@@ -566,14 +563,12 @@ class TestStageFlags:
         assert pipeline_flags(command) == STAGE_FLAGS[command]
 
     def test_settable_pipeline_values(self):
-        assert sum(len(pipeline_flags(c)) for c in STAGE_FLAGS) == 48
+        assert sum(len(pipeline_flags(c)) for c in STAGE_FLAGS) == 42
 
     def test_readme_flag_table_names_only_flags_of_its_subcommand(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         rows = re.findall(r"^\| `([\w-]+)` \|(.*)$", readme, flags=re.MULTILINE)
-        assert [command for command, _ in rows] == [
-            "fit-gmm", "train-mlp", "score", "loocv", "synth"
-        ]
+        assert [command for command, _ in rows] == ["train", "score", "loocv", "synth"]
         for command, row in rows:
             flags = pipeline_flags(command)
             for flag in re.findall(r"--[\w-]+", row):
@@ -591,22 +586,32 @@ class TestStageFlags:
             except SystemExit:
                 pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
-    def test_other_stage_flag_is_usage_error_without_outputs(self, tmp_path, capsys):
-        corpus = synth(tmp_path)
-        out = tmp_path / "mlp.json"
+    # A key of another stage for each subcommand that trains or scores: a
+    # pooling key on score is a usage error, since score pools as trained.
+    OTHER_STAGE_KEYS = [("train", ["--corpus", "c"], "omega"),
+                        ("score", ["--clip", "c", "--model", "m"], "window")]
+
+    @pytest.mark.parametrize("command, inputs, key", OTHER_STAGE_KEYS)
+    def test_other_stage_flag_is_usage_error_without_outputs(
+        self, tmp_path, capsys, command, inputs, key
+    ):
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(["train-mlp", "--corpus", str(corpus), "--out", str(out), "--components", "2"])
+            main([command, *inputs, "--out", str(out), f"--{key}", "2"])
         assert exc.value.code == 2
-        assert "--components" in capsys.readouterr().err
+        assert f"unrecognized arguments: --{key} 2" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_other_stage_config_key_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, inputs, key", OTHER_STAGE_KEYS)
+    def test_other_stage_config_key_is_usage_error(
+        self, tmp_path, capsys, command, inputs, key
+    ):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"components": 2}))
-        out = tmp_path / "mlp.json"
-        code = main(["train-mlp", "--config", str(config), "--corpus", "c", "--out", str(out)])
+        config.write_text(json.dumps({key: 2}))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(config), *inputs, "--out", str(out)])
         assert code == 2
-        assert "unknown config keys: ['components']" in capsys.readouterr().err
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -632,29 +637,19 @@ class TestInputErrorsNameTheFile:
         assert not out.exists()
 
     def test_scored_clip_parse_error(self, workspace, tmp_path, capsys):
-        _, corpus, models, mlp_path = workspace
+        _, corpus, model = workspace
         clip = tmp_path / "P001.csv"
         clip.write_text((corpus / "clips" / "P001.csv").read_text())
         corrupt_cell(clip, 3, "AU12_r", "nan")
-        code = main(
-            ["score", "--clip", str(clip),
-             "--gmm-dep", str(models / "gmm-depressed.json"),
-             "--gmm-ndep", str(models / "gmm-nondepressed.json"),
-             "--mlp", str(mlp_path)]
-        )
+        code = main(["score", "--clip", str(clip), "--model", str(model)])
         assert code == 2
         assert f"{clip}: line 3, column 'AU12_r'" in capsys.readouterr().err
 
     def test_scored_clip_not_utf8(self, workspace, tmp_path, capsys):
-        _, corpus, models, mlp_path = workspace
+        _, corpus, model = workspace
         clip = tmp_path / "P001.csv"
         clip.write_bytes(b"\xff\xfe" + (corpus / "clips" / "P001.csv").read_bytes())
-        code = main(
-            ["score", "--clip", str(clip),
-             "--gmm-dep", str(models / "gmm-depressed.json"),
-             "--gmm-ndep", str(models / "gmm-nondepressed.json"),
-             "--mlp", str(mlp_path)]
-        )
+        code = main(["score", "--clip", str(clip), "--model", str(model)])
         assert code == 2
         assert f"error: {clip}: not UTF-8 text" in capsys.readouterr().err
 
@@ -662,55 +657,42 @@ class TestInputErrorsNameTheFile:
         corpus = synth(tmp_path)
         manifest = corpus / "manifest.jsonl"
         manifest.write_text(manifest.read_text().replace('"NonDepressed"', '"Sad"', 1))
-        out = tmp_path / "mlp.json"
-        code = main(["train-mlp", "--corpus", str(corpus), "--out", str(out)])
+        out = tmp_path / "model.json"
+        code = main(["train", "--corpus", str(corpus), "--out", str(out)])
         assert code == 2
         assert f"{manifest}: line 2: 'Sad' is not a valid Label" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_model_without_weights(self, workspace, tmp_path, capsys):
-        _, corpus, models, mlp_path = workspace
-        payload = json.loads((models / "gmm-depressed.json").read_text())
-        del payload["weights"]
-        bad = tmp_path / "gmm-depressed.json"
-        bad.write_text(json.dumps(payload))
-        code = main(
-            ["score", "--clip", str(corpus / "clips" / "P001.csv"),
-             "--gmm-dep", str(bad),
-             "--gmm-ndep", str(models / "gmm-nondepressed.json"),
-             "--mlp", str(mlp_path)]
-        )
-        assert code == 2
-        assert f"error: {bad}: missing keys ['weights']" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
-        "model, edit, message",
+        "edit, message",
         [
-            ("gmm-depressed.json", lambda p: p["weights"].pop(),
+            (lambda p: p["depressed"].pop("weights"), "'weights'"),
+            (lambda p: p["depressed"]["weights"].pop(),
              "weights and means disagree on component count"),
-            ("mlp.json", lambda p: p.update(train_config={**p["train_config"], "bogus": 1}),
-             "unexpected keyword argument 'bogus'"),
+            (lambda p: p["mlp"].update(bogus=1), "unexpected keyword argument 'bogus'"),
+            (lambda p: p.update(window=150.0), "window must be an integer, found 150.0"),
+            (lambda p: p.update(stride=0), "stride must be >= 1"),
         ],
-        ids=["gmm-short-weights", "mlp-unknown-config-key"],
+        ids=["gmm-no-weights", "gmm-short-weights", "mlp-unknown-key", "float-window",
+             "zero-stride"],
     )
-    def test_model_with_a_bad_value(self, workspace, tmp_path, capsys, model, edit, message):
-        _, corpus, models, mlp_path = workspace
-        paths = {
-            "gmm-depressed.json": models / "gmm-depressed.json",
-            "gmm-nondepressed.json": models / "gmm-nondepressed.json",
-            "mlp.json": mlp_path,
-        }
-        payload = json.loads(paths[model].read_text())
+    def test_model_with_a_bad_value(self, workspace, tmp_path, capsys, edit, message):
+        _, corpus, model = workspace
+        payload = json.loads(model.read_text())
         edit(payload)
-        paths[model] = bad = tmp_path / model
+        bad = tmp_path / "model.json"
         bad.write_text(json.dumps(payload))
-        code = main(
-            ["score", "--clip", str(corpus / "clips" / "P001.csv"),
-             "--gmm-dep", str(paths["gmm-depressed.json"]),
-             "--gmm-ndep", str(paths["gmm-nondepressed.json"]),
-             "--mlp", str(paths["mlp.json"])]
-        )
+        code = main(["score", "--clip", str(corpus / "clips" / "P001.csv"), "--model", str(bad)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
         assert message in err
+
+    def test_version_1_mixture_file_is_usage_error(self, workspace, tmp_path, capsys):
+        _, corpus, model = workspace
+        (dep, _, _), _ = load_model(model, PipelineConfig())
+        old = tmp_path / "gmm-depressed.json"
+        old.write_text(gmm_json(dep))
+        code = main(["score", "--clip", str(corpus / "clips" / "P001.csv"), "--model", str(old)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {old}: unsupported model format: 1\n"

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import re
 
@@ -17,6 +16,7 @@ from aufusion.evaluate import (
     fold_seed,
     hash_gmm,
     hash_mlp,
+    load_model,
     load_sidecar,
     loocv,
     majority_vote,
@@ -25,14 +25,16 @@ from aufusion.evaluate import (
     report_from_sidecar,
     report_to_sidecar,
     run_fold,
+    save_model,
     score_clip,
     sweep_from_sidecar,
     train_fold_models,
     write_report_files,
 )
-from aufusion.gmm import EmConfig, GmmModel, load_gmm, save_gmm
+from aufusion.gmm import EmConfig, GmmModel, gmm_json
 from aufusion.ingest import AUClip, ClipTooShort, Corpus, Label, SynthConfig, synth_corpus
-from aufusion.mlp import TrainConfig, load_mlp, save_mlp, train_mlp
+from aufusion.mlp import MlpModel, TrainConfig, train_mlp
+from aufusion.rankpool import RankPoolConfig
 
 from fixture_rows import REFERENCE_DECISIONS, reference_rows
 
@@ -63,6 +65,17 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=message):
             PipelineConfig(gmm_fit_frames=frames)
         assert PipelineConfig(gmm_fit_frames=1).gmm_fit_frames == 1
+
+    @pytest.mark.parametrize(
+        "pooling, message",
+        [({"window": 1}, "window must be >= 2"), ({"stride": 0}, "stride must be >= 1"),
+         ({"window": 150.0}, "window must be an integer"),
+         ({"stride": True}, "stride must be an integer")],
+    )
+    def test_window_and_stride_are_checked_on_construction(self, pooling, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**pooling)
+        assert PipelineConfig(window=2, stride=1).window == 2
 
 
 class TestAccuracy:
@@ -166,7 +179,7 @@ class TestScoreClip:
 
 
 class TestShortClips:
-    # `aufusion train-mlp` pools through pool_corpus; loocv pools before any fold.
+    # `aufusion train` pools through pool_corpus; loocv pools before any fold.
     @pytest.mark.parametrize("run", [loocv, pool_corpus], ids=["loocv", "pool"])
     def test_rejected_before_any_clip_is_pooled(self, small_corpus, monkeypatch, run):
         last = small_corpus.clips[-1]
@@ -210,14 +223,12 @@ class TestNoLeakageAndDeterminism:
         assert a_txt.read_bytes() == b_txt.read_bytes()
         assert a_json.read_bytes() == b_json.read_bytes()
 
-    def test_model_hashes_digest_the_saved_json(self, tmp_path):
-        rng = np.random.default_rng(5)
-        gmm = GmmModel(np.array([0.25, 0.75]), rng.normal(size=(2, 17)), rng.uniform(1, 2, (2, 17)))
-        mlp = train_mlp(rng.normal(size=(10, 17)), [0, 1] * 5, TrainConfig(epochs=1))
-        save_gmm(gmm, tmp_path / "gmm.json")
-        save_mlp(mlp, tmp_path / "mlp.json")
-        for model_hash, path in ((hash_gmm(gmm), "gmm.json"), (hash_mlp(mlp), "mlp.json")):
-            assert model_hash == hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()[:16]
+    def test_model_hashes_digest_the_version_1_file_bytes(self):
+        # The digests of the files that version-1 ``save_gmm`` and
+        # ``save_mlp`` wrote for these models: report rows keep their hashes.
+        gmm, mlp = tiny_models()[::2]
+        assert hash_gmm(gmm) == "304b6bff75e9337c"
+        assert hash_mlp(mlp) == "762d3e6796cd3e2a"
 
     def test_fold_seed_stable(self):
         assert fold_seed(7, "P001") == fold_seed(7, "P001")
@@ -312,28 +323,81 @@ class TestSweepIntegration:
         assert acc == accuracy(small_report.rows, "combined")
 
 
+def tiny_models() -> tuple[GmmModel, GmmModel, MlpModel]:
+    """A one-dimensional (depressed, non-depressed, vote) triple whose
+    parameters are exact binary fractions."""
+    gmm = GmmModel([0.25, 0.75], [[0.5, -1.0], [2.0, 0.125]], [[1.0, 0.5], [2.0, 4.0]])
+    mlp = MlpModel(
+        w1=[[0.5, -0.25]], b1=[0.0, 0.125], w2=[[1.0], [-2.0]], b2=[0.5], w3=[[0.75]],
+        b3=[-0.5], input_mean=[0.25], input_std=[2.0],
+    )
+    return gmm, GmmModel([1.0], [[0.0, 1.0]], [[1.0, 1.0]]), mlp
+
+
+class TestModelFile:
+    def test_round_trip_is_bit_stable_and_restores_the_pooling(self, tmp_path):
+        rng = np.random.default_rng(41)
+        models = tuple(
+            GmmModel([0.5, 0.5], rng.normal(size=(2, 17)), rng.uniform(0.1, 2, (2, 17)))
+            for _ in range(2)
+        ) + (train_mlp(rng.normal(size=(10, 17)), [0, 1] * 5, TrainConfig(epochs=5)),)
+        trained = PipelineConfig(window=100, stride=50, rankpool=RankPoolConfig(reg_c=0.5))
+        path = tmp_path / "model.json"
+        save_model(path, models, trained)
+        loaded, pipeline = load_model(path, FAST_PIPELINE)
+        for model, again in zip(models, loaded):
+            assert type(again) is type(model)
+            for field in dataclasses.fields(model):
+                np.testing.assert_array_equal(getattr(again, field.name), getattr(model, field.name))
+        assert [hash_gmm(m) for m in loaded[:2]] == [hash_gmm(m) for m in models[:2]]
+        assert hash_mlp(loaded[2]) == hash_mlp(models[2])
+        # The pooling settings come from the file; everything else stays.
+        assert pipeline == dataclasses.replace(
+            FAST_PIPELINE, window=100, stride=50, rankpool=RankPoolConfig(reg_c=0.5)
+        )
+
+    def test_each_model_sits_under_the_key_of_its_role(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, tiny_models(), PipelineConfig())
+        payload = json.loads(path.read_text())
+        assert list(payload) == [
+            "format_version", "window", "stride", "rankpool", "depressed", "nondepressed", "mlp"
+        ]
+        assert payload["format_version"] == 2
+        assert payload["nondepressed"] == {
+            "weights": [1.0], "means": [[0.0, 1.0]], "variances": [[1.0, 1.0]]
+        }
+
+
+def model_payload(tmp_path) -> dict:
+    path = tmp_path / "valid.json"
+    save_model(path, tiny_models(), PipelineConfig())
+    return json.loads(path.read_text())
+
+
+def load_with_defaults(path):
+    return load_model(path, PipelineConfig())
+
+
 class TestJsonArtifactErrorsNameTheFile:
     # Each loader with a payload that lacks one of the keys it reads.
     LOADERS = {
-        "gmm": (
-            load_gmm,
-            {"format_version": 1, "means": [], "variances": [], "em_config": None},
-            "['weights']",
+        "model": (
+            load_with_defaults,
+            lambda p: {k: v for k, v in p.items() if k != "rankpool"},
+            "missing key 'rankpool'",
         ),
-        "mlp": (
-            load_mlp,
-            {"format_version": 1, "params": {}, "input_mean": [], "train_config": None},
-            "['input_std']",
+        "sidecar": (
+            load_sidecar, lambda _: {"version": 1, "rows": []}, "missing keys ['seed', 'configs']"
         ),
-        "sidecar": (load_sidecar, {"version": 1, "rows": []}, "['seed', 'configs']"),
     }
 
-    @pytest.mark.parametrize("loader", ["gmm", "mlp", "sidecar"])
+    @pytest.mark.parametrize("loader", ["model", "sidecar"])
     @pytest.mark.parametrize("defect", ["missing-key", "not-json", "not-object"])
     def test_error_starts_with_the_path(self, tmp_path, loader, defect):
-        load, payload, missing = self.LOADERS[loader]
+        load, lacking, missing = self.LOADERS[loader]
         text, message = {
-            "missing-key": (json.dumps(payload), f"missing keys {missing}"),
+            "missing-key": (json.dumps(lacking(model_payload(tmp_path))), missing),
             "not-json": ("{", "Expecting property name enclosed in double quotes: line 1"),
             "not-object": ("[1]", "expected a JSON object"),
         }[defect]
@@ -342,58 +406,37 @@ class TestJsonArtifactErrorsNameTheFile:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             load(path)
 
-    # Each model loader with a payload whose values its model or config rejects.
-    BAD_VALUES = {
-        "gmm": (
-            load_gmm,
-            {
-                "format_version": 1,
-                "weights": [1.0],
-                "means": [[0.0], [1.0]],
-                "variances": [[1.0], [1.0]],
-                "em_config": None,
-            },
-            "weights and means disagree on component count",
-        ),
-        "mlp": (
-            load_mlp,
-            {
-                "format_version": 1,
-                "params": {
-                    "w1": [[1.0]], "b1": [0.0], "w2": [[1.0]], "b2": [0.0],
-                    "w3": [[1.0]], "b3": [0.0],
-                },
-                "input_mean": [0.0],
-                "input_std": [1.0],
-                "train_config": {"bogus": 1},
-            },
-            "unexpected keyword argument 'bogus'",
-        ),
-    }
-
-    @pytest.mark.parametrize("loader", ["gmm", "mlp"])
-    def test_bad_model_value_names_the_file(self, tmp_path, loader):
-        load, payload, message = self.BAD_VALUES[loader]
+    # Each edit of a valid model file that leaves a value its model, its
+    # pooling settings or its format rejects.
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["depressed"]["weights"].pop(),
+             "weights and means disagree on component count"),
+            (lambda p: p["mlp"].update(bogus=1), "unexpected keyword argument 'bogus'"),
+            (lambda p: p["mlp"].update(input_std=[0.0]), "input_std must be positive"),
+            (lambda p: p["mlp"].update(input_mean=[0.0, 0.0]),
+             "input normalization must match the input layer"),
+            (lambda p: p.update(window="150"), "window must be an integer, found '150'"),
+            (lambda p: p["rankpool"].update(max_epochs=1.5),
+             "max_epochs must be an integer, found 1.5"),
+            (lambda p: p.update(window=1), "window must be >= 2"),
+            (lambda p: p.pop("format_version"), "unsupported model format: None"),
+        ],
+        ids=["gmm-short-weights", "mlp-unknown-key", "mlp-zero-std", "mlp-wide-mean",
+             "string-window", "fractional-rank-epochs", "window-below-two", "no-version"],
+    )
+    def test_bad_model_value_names_the_file(self, tmp_path, edit, message):
+        payload = model_payload(tmp_path)
+        edit(payload)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
-            load(path)
+            load_with_defaults(path)
 
-    @pytest.mark.parametrize(
-        "loader, config_key, config",
-        [
-            ("gmm", "em_config", {"n_init": 1.5}),
-            ("mlp", "train_config", {"hidden1": 4.0}),
-        ],
-    )
-    def test_fractional_config_count_names_the_file(self, tmp_path, loader, config_key, config):
-        load, payload, _ = self.BAD_VALUES[loader]
-        payload = dict(payload, **{config_key: config})
-        if loader == "gmm":
-            payload.update(weights=[1.0], means=[[0.0]], variances=[[1.0]])
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(payload))
-        (field, value), = config.items()
-        message = f"{field} must be an integer, found {value!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
-            load(path)
+    def test_version_1_mixture_file_names_the_file(self, tmp_path):
+        path = tmp_path / "gmm-depressed.json"
+        path.write_text(gmm_json(tiny_models()[0]))
+        message = f"{path}: unsupported model format: 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_with_defaults(path)

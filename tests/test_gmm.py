@@ -12,9 +12,7 @@ from aufusion.gmm import (
     density,
     fit_em,
     likelihood_ratio_decision,
-    load_gmm,
     log_likelihood,
-    save_gmm,
     score_pair,
 )
 from aufusion.ingest import _SERIAL_MACS, AU_COUNT, AUClip, Label, SynthConfig, synth_corpus
@@ -394,20 +392,7 @@ class TestScorePair:
         assert likelihood_ratio_decision(ll_dep, ll_ndep) is Label.DEPRESSED
 
 
-class TestPersistence:
-    def test_save_load_bit_stable(self, tmp_path):
-        rng = np.random.default_rng(41)
-        frames = rng.normal(size=(200, 4))
-        config = EmConfig(n_components=3, seed=4, n_init=1)
-        model = fit_em(frames, config)
-        path = tmp_path / "model.json"
-        save_gmm(model, path, config)
-        loaded, loaded_config = load_gmm(path)
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        np.testing.assert_array_equal(loaded.means, model.means)
-        np.testing.assert_array_equal(loaded.variances, model.variances)
-        assert loaded_config == config
-
+class TestModelInvariants:
     def test_model_invariants_enforced(self):
         with pytest.raises(ValueError):
             GmmModel(np.array([0.6, 0.6]), np.zeros((2, 2)), np.ones((2, 2)))

@@ -9,10 +9,8 @@ from aufusion.mlp import (
     MlpModel,
     SingleClassData,
     TrainConfig,
-    load_mlp,
     loss_and_gradients,
     predict_probs,
-    save_mlp,
     train_mlp,
 )
 
@@ -208,18 +206,3 @@ class TestInference:
         probs = predict_probs(model, x[test_idx])
         acc = (((probs > 0.5).astype(int)) == y[test_idx]).mean()
         assert acc >= 0.95
-
-
-class TestPersistence:
-    def test_save_load_bit_stable(self, tmp_path):
-        x, y = two_clusters(seed=59)
-        config = TrainConfig(epochs=5, seed=61)
-        model = train_mlp(x, y, config)
-        path = tmp_path / "mlp.json"
-        save_mlp(model, path, config)
-        loaded, loaded_config = load_mlp(path)
-        for name, value in model.params().items():
-            np.testing.assert_array_equal(loaded.params()[name], value)
-        np.testing.assert_array_equal(loaded.input_mean, model.input_mean)
-        np.testing.assert_array_equal(loaded.input_std, model.input_std)
-        assert loaded_config == config
