@@ -71,7 +71,6 @@ _PIPELINE_FLAGS = (
      "floor on every component variance (> 0)"),
     (MIXTURE, "--n-init", "em", "n_init", "EM restarts"),
     (MIXTURE, "--gmm-fit-frames", "", "gmm_fit_frames", "cap on pooled frames per class for EM"),
-    (POOLING, "--margin", "rankpool", "margin", "required rank score gap"),
     (POOLING, "--reg-c", "rankpool", "reg_c", "squared-hinge trade-off"),
     (POOLING, "--rank-epochs", "rankpool", "max_epochs", "cap on Newton iterations"),
     (CLASSIFIER, "--hidden1", "mlp", "hidden1", "first hidden layer width"),

@@ -26,6 +26,7 @@ from . import fusion as fusion_mod
 from .fusion import FusionConfig, FusionResult, fuse
 from .gmm import EmConfig, GmmModel, fit_em, gmm_json, likelihood_ratio_decision, score_pair
 from .ingest import (
+    AU_COUNT,
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
     AUClip,
@@ -76,9 +77,6 @@ class PipelineConfig:
             _require_integers(self, "gmm_fit_frames")
             if self.gmm_fit_frames < 1:
                 raise ValueError("gmm_fit_frames must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def train_fold_models(
     return fit_models(train_clips, descriptors, pipeline, fold_seed(pipeline.seed, held_out_id))
 
 
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 def _model_arrays(model: GmmModel | MlpModel) -> dict:
@@ -242,8 +240,8 @@ def load_model(
 ) -> tuple[tuple[GmmModel, GmmModel, MlpModel], PipelineConfig]:
     """The models ``save_model`` wrote to ``path``, and ``pipeline`` with the
     pooling settings stored beside them. A file of another format version,
-    or one missing a key or holding a value the models or the pipeline
-    reject, raises a ValueError naming the file."""
+    or one missing a key or holding a value or input width that the models
+    or the pipeline reject, raises a ValueError naming the file."""
     payload = read_json(path)
     version = payload.get("format_version")
     if version != MODEL_VERSION:
@@ -260,6 +258,9 @@ def load_model(
             GmmModel(**payload["nondepressed"]),
             MlpModel(**payload["mlp"]),
         )
+        widths = (models[0].dim, models[1].dim, models[2].w1.shape[0])
+        if widths != (AU_COUNT,) * 3:
+            raise ValueError(f"depressed, nondepressed and mlp take {widths} inputs, not {AU_COUNT}")
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -386,7 +387,7 @@ def loocv(corpus: Corpus, pipeline: PipelineConfig, jobs: int | None = None) -> 
     ids = [c.participant_id for c in corpus.clips]
     descriptors = pool_corpus(corpus, pipeline, jobs=jobs)
     rows = _map_participants(_fold_task, ids, (corpus, pipeline, descriptors), jobs)
-    return LoocvReport(rows=rows, configs=pipeline.to_dict(), seed=pipeline.seed)
+    return LoocvReport(rows=rows, configs=asdict(pipeline), seed=pipeline.seed)
 
 
 _REQUIRED_CONFIG_KEYS = ("window", "stride", "em", "rankpool", "mlp", "fusion", "seed")

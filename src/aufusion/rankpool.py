@@ -1,22 +1,23 @@
 """Per-segment linear ranking kernels summarizing short-term AU dynamics.
 
 Each window of frames is summarized by the weight vector ``d`` of a linear
-scorer trained so later frames score higher than earlier ones by at least a
-margin: minimize
+scorer trained so later frames score higher than earlier ones by at least
+one: minimize
 
-    f(d) = 0.5 * ||d||^2 + reg_c * sum_{a > b} max(0, margin - <d, v_a - v_b>)^2
+    f(d) = 0.5 * ||d||^2 + reg_c * sum_{a > b} max(0, 1 - <d, v_a - v_b>)^2
 
 over all ordered frame pairs, where ``v_a`` is the running mean of the first
 ``a`` frames. The smoothing is always applied, as in Fernando et al.'s rank
 pooling: it stabilizes the ordering signal. The minimizer encodes the
 segment's temporal evolution and becomes its 17-dimensional dynamic
-descriptor.
+descriptor. No other margin is offered: margin ``m`` only scales the
+minimizer by ``m``, a scale the vote classifier normalizes away.
 
 ``f`` is piecewise quadratic and 1-strongly convex, and it is minimized by
 Newton's method (Chapelle & Keerthi, "Efficient algorithms for ranking with
 SVMs", Information Retrieval 2010). Over the active pairs (positive residual
-``margin - <d, v_a - v_b>``) the gradient is ``d - 2 reg_c V^T g``, ``g``
-the residuals summed per frame, and the Hessian is ``I + 2 reg_c V^T L V``,
+``1 - <d, v_a - v_b>``) the gradient is ``d - 2 reg_c V^T g``, ``g`` the
+residuals summed per frame, and the Hessian is ``I + 2 reg_c V^T L V``,
 ``L`` the Laplacian of the active pairs' graph, built from their n x n
 adjacency matrix. One 17 x 17 solve gives the direction and an exact line
 search the step; once the active set settles a step lands on the optimum.
@@ -26,10 +27,10 @@ centered first, which leaves every pair difference as it is and keeps the
 scores small, so frames far from the origin lose no precision.
 
 The solve starts from the zero kernel, where every pair is active at the
-residual ``margin``. There the gradient is ``-2 reg_c margin V^T (2i - (n -
-1))`` and the Hessian ``I + 2 reg_c (n V^T V - s s^T)``, ``s = V^T 1``, with
-no pair list; and the step along that first direction is the exact minimum
-of a one-dimensional piecewise quadratic whose pieces end as pairs leave the
+residual 1. There the gradient is ``-2 reg_c V^T (2i - (n - 1))`` and the
+Hessian ``I + 2 reg_c (n V^T V - s s^T)``, ``s = V^T 1``, with no pair
+list; and the step along that first direction is the exact minimum of a
+one-dimensional piecewise quadratic whose pieces end as pairs leave the
 active set, found with one sort (``_ray_search``). Later iterations work on
 the active pairs as above.
 """
@@ -55,15 +56,12 @@ class SegmentTooShort(ValueError):
 
 @dataclass(frozen=True)
 class RankPoolConfig:
-    margin: float = 1.0  # required score gap between consecutive ranks
     reg_c: float = 1.0  # squared-hinge-vs-regularizer trade-off
     max_epochs: int = 200  # cap on Newton iterations
 
     def __post_init__(self):
         _require_integers(self, "max_epochs")
         # Each check is written so that NaN fails it.
-        if not self.margin > 0:
-            raise ValueError("margin must be positive")
         if not self.reg_c > 0:
             raise ValueError("reg_c must be positive")
         if not self.max_epochs >= 1:
@@ -124,25 +122,25 @@ def _line_search(r: np.ndarray, q: np.ndarray, dp: float, pp: float, two_c: floa
     return t
 
 
-def _ray_search(q: np.ndarray, margin: float, pp: float, two_c: float) -> float:
-    """The ``t > 0`` minimizing ``0.5 * t**2 * pp + reg_c * sum max(0, margin
-    + t q)^2``: the line search from the zero kernel, where every pair's
-    residual is ``margin``, along a direction ``p`` (``pp = <p, p>``) whose
-    slope at 0, ``two_c * margin * sum(q)``, is negative.
+def _ray_search(q: np.ndarray, pp: float, two_c: float) -> float:
+    """The ``t > 0`` minimizing ``0.5 * t**2 * pp + reg_c * sum max(0, 1 + t
+    q)^2``: the line search from the zero kernel, where every pair's residual
+    is 1, along a direction ``p`` (``pp = <p, p>``) whose slope at 0,
+    ``two_c * sum(q)``, is negative.
 
     A pair with ``q >= 0`` stays active for every ``t > 0``, and one with
-    ``q < 0`` leaves at ``-margin / q``, the most negative first. Between two
-    such ends the slope is linear, ``t * (pp + two_c * S2) + two_c * margin *
-    S1`` with ``S1`` and ``S2`` the sums of the active ``q`` and ``q**2``, and
-    it increases throughout. The minimizer is the root of the first piece
-    whose slope is not negative at its end: at the end ``-margin / q_k``
-    that slope has the sign of ``pp + two_c * (S2 - q_k S1)``.
+    ``q < 0`` leaves at ``-1 / q``, the most negative first. Between two such
+    ends the slope is linear, ``t * (pp + two_c * S2) + two_c * S1`` with
+    ``S1`` and ``S2`` the sums of the active ``q`` and ``q**2``, and it
+    increases throughout. The minimizer is the root of the first piece whose
+    slope is not negative at its end: at the end ``-1 / q_k`` that slope has
+    the sign of ``pp + two_c * (S2 - q_k S1)``.
     """
     leaving = np.sort(q[q < 0.0])
     total1, total2 = float(q.sum()), float(np.einsum("i,i->", q, q))
 
     def turned(lead, gone1, gone2):
-        """Whether the slope is not negative at the ends ``-margin / lead``,
+        """Whether the slope is not negative at the ends ``-1 / lead``,
         given the sums of ``q`` and ``q**2`` over the pairs gone before each."""
         return pp + two_c * ((total2 - gone2) - lead * (total1 - gone1)) >= 0.0
 
@@ -169,7 +167,7 @@ def _ray_search(q: np.ndarray, margin: float, pp: float, two_c: float) -> float:
     # the totals. (A BLAS dot over more than 10,000 pairs would run threaded.)
     active = np.concatenate([q[q >= 0.0], leaving[k:]])
     curv = float(np.einsum("i,i->", active, active))
-    return -two_c * margin * float(active.sum()) / (pp + two_c * curv)
+    return -two_c * float(active.sum()) / (pp + two_c * curv)
 
 
 def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,8 +189,8 @@ def solve_rank_kernel(
     """Minimize ``f`` over already-smoothed frames by Newton's method.
 
     Returns the kernel and the objective per iteration from the zero kernel
-    (``reg_c * margin**2 * pairs``) on; the trace strictly decreases. The
-    solve stops at the first of:
+    (``reg_c * pairs``) on; the trace strictly decreases. The solve stops at
+    the first of:
 
     - the gradient certificate ``||grad f(d)|| <= _GRAD_TOL * scale``; as
       ``f`` is 1-strongly convex, ``||d - d*|| <= ||grad f(d)||``. ``scale``
@@ -221,7 +219,7 @@ def solve_rank_kernel(
     ia, ib = _pair_indices(n)
     cells = _pair_cells(n)
     per_row = np.arange(n)  # pairs per row: repeating x[a] gathers x[ia]
-    margin, reg_c = config.margin, config.reg_c
+    reg_c = config.reg_c
     two_c = 2.0 * reg_c
 
     def drop(x: np.ndarray) -> np.ndarray:
@@ -234,22 +232,22 @@ def solve_rank_kernel(
         """Every pair's residual, the positions and values of the positive
         ones, and ``f(d)``."""
         r = drop(w @ d)
-        r += margin
+        r += 1.0
         active = (r > 0).nonzero()[0]
         hinge = r[active]
         f = 0.5 * float(d @ d) + reg_c * float(np.einsum("i,i->", hinge, hinge))
         return r, active, hinge, f
 
-    # At the zero kernel every pair is active at the residual ``margin``
+    # At the zero kernel every pair is active at the residual 1
     # (frame i is the larger of i pairs and the smaller of n - 1 - i), so the
     # first iteration needs no pair list; see the module docstring.
     d = np.zeros(dim)
     r = None  # the pair residuals at d, once d is no longer the zero kernel
-    f_curr = reg_c * margin**2 * len(ia)
+    f_curr = reg_c * len(ia)
     trace = [f_curr]
     for _ in range(config.max_epochs):
         if r is None:
-            into_a, into_b = margin * per_row, margin * (n - 1 - per_row)
+            into_a, into_b = per_row.astype(np.float64), (n - 1.0) - per_row
         else:
             act_a, act_b = ia[active], ib[active]
             into_a = np.bincount(act_a, hinge, minlength=n)
@@ -274,7 +272,7 @@ def solve_rank_kernel(
             break
         q = drop(w @ p)
         if r is None:
-            t = _ray_search(q, margin, float(p @ p), two_c)
+            t = _ray_search(q, float(p @ p), two_c)
         else:
             t = _line_search(r, q, float(d @ p), float(p @ p), two_c)
         d_try = d + t * p

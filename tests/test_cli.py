@@ -436,7 +436,7 @@ class TestConfigFile:
             ("train", {"window": 150.0}, "window", "an integer, found 150.0"),
             ("train", {"window": True}, "window", "an integer, found true"),
             ("train", {"gmm_fit_frames": 1.5}, "gmm_fit_frames", "an integer or null, found 1.5"),
-            ("train", {"margin": "1"}, "margin", 'a number, found "1"'),
+            ("train", {"reg_c": "1"}, "reg_c", 'a number, found "1"'),
             ("score", {"raw_ll": "yes"}, "raw_ll", 'true or false, found "yes"'),
             ("train", {"stride": None}, "stride", "an integer, found null"),
             ("train", {"corpus": 3}, "corpus", "a string, found 3"),
@@ -464,7 +464,7 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         # An integer for a float flag works as that flag would, and null
         # where the default is None.
-        config.write_text(json.dumps({"margin": 1, "reg_c": 1.0, "window": 150, "mlp_epochs": 5,
+        config.write_text(json.dumps({"reg_c": 1, "window": 150, "mlp_epochs": 5,
                                       "gmm_fit_frames": None, "n_init": 1, "components": 2,
                                       "em_iters": 3}))
         out = tmp_path / "model.json"
@@ -532,7 +532,7 @@ class TestDefaults:
 # ``score`` takes no pooling flag: it pools as the model file says.
 FUSION = ["--omega", "--tau", "--raw-ll"]
 TRAIN = ["--window", "--stride", "--components", "--em-iters", "--em-tol", "--variance-floor",
-         "--n-init", "--gmm-fit-frames", "--margin", "--reg-c", "--rank-epochs", "--hidden1",
+         "--n-init", "--gmm-fit-frames", "--reg-c", "--rank-epochs", "--hidden1",
          "--hidden2", "--dropout", "--learning-rate", "--mlp-epochs", "--batch-size"]
 STAGE_FLAGS = {
     "train": TRAIN + ["--seed"],
@@ -563,7 +563,22 @@ class TestStageFlags:
         assert pipeline_flags(command) == STAGE_FLAGS[command]
 
     def test_settable_pipeline_values(self):
-        assert sum(len(pipeline_flags(c)) for c in STAGE_FLAGS) == 42
+        counts = {c: len(pipeline_flags(c)) for c in STAGE_FLAGS}
+        assert counts == {"train": 17, "score": 3, "loocv": 20, "sweep": 0, "report": 0}
+        assert sum(counts.values()) == 40
+
+    def test_margin_is_neither_a_flag_nor_a_config_key(self, tmp_path, capsys):
+        # The rank-pooling margin only rescales every descriptor.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--corpus", "c", "--out", str(out), "--margin", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --margin 1" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"margin": 1.0}))
+        assert main(["train", "--config", str(config), "--corpus", "c", "--out", str(out)]) == 2
+        assert "unknown config keys: ['margin']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_readme_flag_table_names_only_flags_of_its_subcommand(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -672,9 +687,15 @@ class TestInputErrorsNameTheFile:
             (lambda p: p["mlp"].update(bogus=1), "unexpected keyword argument 'bogus'"),
             (lambda p: p.update(window=150.0), "window must be an integer, found 150.0"),
             (lambda p: p.update(stride=0), "stride must be >= 1"),
+            (lambda p: p["mlp"].update(
+                {k: p["mlp"][k][:-1] for k in ("w1", "input_mean", "input_std")}),
+             "take (17, 17, 16) inputs, not 17"),
+            (lambda p: p["depressed"].update(
+                {k: [row[:-1] for row in p["depressed"][k]] for k in ("means", "variances")}),
+             "take (16, 17, 17) inputs, not 17"),
         ],
         ids=["gmm-no-weights", "gmm-short-weights", "mlp-unknown-key", "float-window",
-             "zero-stride"],
+             "zero-stride", "mlp-narrow", "gmm-narrow"],
     )
     def test_model_with_a_bad_value(self, workspace, tmp_path, capsys, edit, message):
         _, corpus, model = workspace
@@ -696,3 +717,15 @@ class TestInputErrorsNameTheFile:
         code = main(["score", "--clip", str(corpus / "clips" / "P001.csv"), "--model", str(old)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {old}: unsupported model format: 1\n"
+
+    def test_version_2_model_file_is_usage_error(self, workspace, tmp_path, capsys):
+        # Version 2 stored a rank-pooling margin, which is no longer a setting.
+        _, corpus, model = workspace
+        payload = json.loads(model.read_text())
+        payload["format_version"] = 2
+        payload["rankpool"]["margin"] = 1.0
+        old = tmp_path / "model-v2.json"
+        old.write_text(json.dumps(payload))
+        code = main(["score", "--clip", str(corpus / "clips" / "P001.csv"), "--model", str(old)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {old}: unsupported model format: 2\n"

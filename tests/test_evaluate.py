@@ -7,6 +7,7 @@ import pytest
 
 from aufusion import evaluate, rankpool
 from aufusion.evaluate import (
+    MODEL_VERSION,
     ConfigIncomplete,
     FoldRow,
     InsufficientClass,
@@ -32,7 +33,15 @@ from aufusion.evaluate import (
     write_report_files,
 )
 from aufusion.gmm import EmConfig, GmmModel, gmm_json
-from aufusion.ingest import AUClip, ClipTooShort, Corpus, Label, SynthConfig, synth_corpus
+from aufusion.ingest import (
+    AU_COUNT,
+    AUClip,
+    ClipTooShort,
+    Corpus,
+    Label,
+    SynthConfig,
+    synth_corpus,
+)
 from aufusion.mlp import MlpModel, TrainConfig, train_mlp
 from aufusion.rankpool import RankPoolConfig
 
@@ -264,7 +273,7 @@ class TestKnownLooBias:
 
 def _toy_report(n=3):
     rows = reference_rows()[:n]
-    return LoocvReport(rows=rows, configs=PipelineConfig().to_dict(), seed=7)
+    return LoocvReport(rows=rows, configs=dataclasses.asdict(PipelineConfig()), seed=7)
 
 
 class TestReportRendering:
@@ -283,7 +292,7 @@ class TestReportRendering:
         report = LoocvReport(rows=reference_rows(), configs={}, seed=7)
         with pytest.raises(ConfigIncomplete):
             render_report(report)
-        partial = PipelineConfig().to_dict()
+        partial = dataclasses.asdict(PipelineConfig())
         partial["em"] = {}
         with pytest.raises(ConfigIncomplete):
             render_report(LoocvReport(rows=reference_rows(), configs=partial, seed=7))
@@ -334,13 +343,18 @@ def tiny_models() -> tuple[GmmModel, GmmModel, MlpModel]:
     return gmm, GmmModel([1.0], [[0.0, 1.0]], [[1.0, 1.0]]), mlp
 
 
+def au_models() -> tuple[GmmModel, GmmModel, MlpModel]:
+    """A (depressed, non-depressed, vote) triple that takes AU_COUNT inputs."""
+    rng = np.random.default_rng(41)
+    return tuple(
+        GmmModel([0.5, 0.5], rng.normal(size=(2, AU_COUNT)), rng.uniform(0.1, 2, (2, AU_COUNT)))
+        for _ in range(2)
+    ) + (train_mlp(rng.normal(size=(10, AU_COUNT)), [0, 1] * 5, TrainConfig(epochs=5)),)
+
+
 class TestModelFile:
     def test_round_trip_is_bit_stable_and_restores_the_pooling(self, tmp_path):
-        rng = np.random.default_rng(41)
-        models = tuple(
-            GmmModel([0.5, 0.5], rng.normal(size=(2, 17)), rng.uniform(0.1, 2, (2, 17)))
-            for _ in range(2)
-        ) + (train_mlp(rng.normal(size=(10, 17)), [0, 1] * 5, TrainConfig(epochs=5)),)
+        models = au_models()
         trained = PipelineConfig(window=100, stride=50, rankpool=RankPoolConfig(reg_c=0.5))
         path = tmp_path / "model.json"
         save_model(path, models, trained)
@@ -363,7 +377,7 @@ class TestModelFile:
         assert list(payload) == [
             "format_version", "window", "stride", "rankpool", "depressed", "nondepressed", "mlp"
         ]
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == MODEL_VERSION
         assert payload["nondepressed"] == {
             "weights": [1.0], "means": [[0.0, 1.0]], "variances": [[1.0, 1.0]]
         }
@@ -371,7 +385,7 @@ class TestModelFile:
 
 def model_payload(tmp_path) -> dict:
     path = tmp_path / "valid.json"
-    save_model(path, tiny_models(), PipelineConfig())
+    save_model(path, au_models(), PipelineConfig())
     return json.loads(path.read_text())
 
 
@@ -414,7 +428,7 @@ class TestJsonArtifactErrorsNameTheFile:
             (lambda p: p["depressed"]["weights"].pop(),
              "weights and means disagree on component count"),
             (lambda p: p["mlp"].update(bogus=1), "unexpected keyword argument 'bogus'"),
-            (lambda p: p["mlp"].update(input_std=[0.0]), "input_std must be positive"),
+            (lambda p: p["mlp"].update(input_std=[0.0] * AU_COUNT), "input_std must be positive"),
             (lambda p: p["mlp"].update(input_mean=[0.0, 0.0]),
              "input normalization must match the input layer"),
             (lambda p: p.update(window="150"), "window must be an integer, found '150'"),
@@ -422,9 +436,16 @@ class TestJsonArtifactErrorsNameTheFile:
              "max_epochs must be an integer, found 1.5"),
             (lambda p: p.update(window=1), "window must be >= 2"),
             (lambda p: p.pop("format_version"), "unsupported model format: None"),
+            (lambda p: p["mlp"].update(
+                {k: p["mlp"][k][:-1] for k in ("w1", "input_mean", "input_std")}),
+             "take (17, 17, 16) inputs, not 17"),
+            (lambda p: p["depressed"].update(
+                {k: [row[:-1] for row in p["depressed"][k]] for k in ("means", "variances")}),
+             "take (16, 17, 17) inputs, not 17"),
         ],
         ids=["gmm-short-weights", "mlp-unknown-key", "mlp-zero-std", "mlp-wide-mean",
-             "string-window", "fractional-rank-epochs", "window-below-two", "no-version"],
+             "string-window", "fractional-rank-epochs", "window-below-two", "no-version",
+             "mlp-narrow", "gmm-narrow"],
     )
     def test_bad_model_value_names_the_file(self, tmp_path, edit, message):
         payload = model_payload(tmp_path)

@@ -206,3 +206,30 @@ class TestInference:
         probs = predict_probs(model, x[test_idx])
         acc = (((probs > 0.5).astype(int)) == y[test_idx]).mean()
         assert acc >= 0.95
+
+
+class TestInputScale:
+    """The z-normalization cancels a common scale of the descriptors, which
+    is why rank pooling offers no margin setting: margin m scales every
+    descriptor by m."""
+
+    def _fit(self, scale):
+        x, y = two_clusters(n_per=30, gap=0.5, seed=59)
+        model = train_mlp(x * scale, y, TrainConfig(epochs=40, seed=61))
+        return model, predict_probs(model, x * scale)
+
+    def test_a_power_of_two_changes_no_weight_and_no_probability(self):
+        model, probs = self._fit(1.0)
+        doubled, probs_doubled = self._fit(2.0)
+        for name, value in model.params().items():
+            np.testing.assert_array_equal(doubled.params()[name], value)
+        np.testing.assert_array_equal(doubled.input_mean, 2.0 * model.input_mean)
+        np.testing.assert_array_equal(doubled.input_std, 2.0 * model.input_std)
+        np.testing.assert_array_equal(probs_doubled, probs)
+
+    def test_any_scale_keeps_every_vote(self):
+        _, probs = self._fit(1.0)
+        _, probs_scaled = self._fit(0.3)
+        assert 0.0 < (probs > 0.5).mean() < 1.0
+        np.testing.assert_array_equal(probs_scaled > 0.5, probs > 0.5)
+        np.testing.assert_allclose(probs_scaled, probs, rtol=0, atol=1e-9)

@@ -101,7 +101,7 @@ class TestOrderAgreement:
         assert order_agreement(np.zeros(AU_COUNT), seg) == 0.0
 
     def test_inactive_hinges_mean_full_agreement(self):
-        # Under the squared hinge some pairs stay inside the margin, by a
+        # Under the squared hinge some pairs stay inside the unit margin, by a
         # residual that shrinks as the trade-off grows: about 100 times per
         # 100 times reg_c. The ordering stays perfect throughout.
         seg = ramp_segment(d=10, rise=5.0)
@@ -112,7 +112,7 @@ class TestOrderAgreement:
             config = RankPoolConfig(reg_c=reg_c)
             d = rank_pool(seg, config)
             scores = smoothed @ d
-            largest.append(float((config.margin - (scores[ia] - scores[ib])).max()))
+            largest.append(float((1.0 - (scores[ia] - scores[ib])).max()))
             assert order_agreement(d, seg) == 1.0
         assert 0.0 < largest[1] < largest[0] < 0.01
         assert 50.0 < largest[0] / largest[1] < 200.0
@@ -149,10 +149,15 @@ class TestPoolClip:
 
 
 class TestSolver:
-    @pytest.mark.parametrize("field", ["margin", "reg_c", "max_epochs"])
+    @pytest.mark.parametrize("field", ["reg_c", "max_epochs"])
     def test_nan_setting_rejected(self, field):
         with pytest.raises(ValueError):
             RankPoolConfig(**{field: float("nan")})
+
+    def test_no_margin_setting(self):
+        # Margin m only rescales the kernel by m (see the module docstring).
+        with pytest.raises(TypeError):
+            RankPoolConfig(margin=1.0)
 
     @pytest.mark.parametrize("value", [2.5, 200.0, True], ids=["fraction", "float", "bool"])
     def test_max_epochs_must_be_an_integer(self, value):
@@ -195,7 +200,7 @@ def objective_and_gradient(d, v, config):
     pair differences of the uncentered frames; the oracle's view."""
     ia, ib = _pair_indices(len(v))
     diffs = v[ia] - v[ib]
-    hinge = np.maximum(config.margin - diffs @ d, 0.0)
+    hinge = np.maximum(1.0 - diffs @ d, 0.0)
     objective = 0.5 * float(d @ d) + config.reg_c * float(hinge @ hinge)
     return objective, d - 2.0 * config.reg_c * (diffs.T @ hinge)
 
@@ -206,7 +211,7 @@ def certificate_scale(d, v, config):
     n = len(v)
     ia, ib = _pair_indices(n)
     w = v - v.mean(axis=0)
-    hinge = np.maximum(config.margin - (w[ia] - w[ib]) @ d, 0.0)
+    hinge = np.maximum(1.0 - (w[ia] - w[ib]) @ d, 0.0)
     per_frame = np.bincount(ia, hinge, n) + np.bincount(ib, hinge, n)
     return np.linalg.norm(d) + 2.0 * config.reg_c * np.linalg.norm(np.abs(w).T @ per_frame)
 
@@ -220,8 +225,8 @@ class TestNewtonSolver:
         [
             (RankPoolConfig(), True),
             (RankPoolConfig(), False),
-            (RankPoolConfig(margin=0.25, reg_c=3.0), True),
-            (RankPoolConfig(margin=2.0, reg_c=0.05), True),
+            (RankPoolConfig(reg_c=3.0), True),
+            (RankPoolConfig(reg_c=0.05), True),
         ],
         ids=["default", "unsmoothed", "tight", "loose"],
     )
@@ -281,14 +286,14 @@ class TestNewtonSolver:
         assert (np.diff(trace) < 0).all()
         ia, ib = _pair_indices(len(v))
         diffs = v[ia] - v[ib]
-        active = CFG.margin - diffs @ d > 0
-        # 0.5 ||x||^2 + reg_c ||margin - P x||^2 as one least-squares system,
+        active = 1.0 - diffs @ d > 0
+        # 0.5 ||x||^2 + reg_c ||1 - P x||^2 as one least-squares system,
         # solved without forming the normal equations.
         root = np.sqrt(2.0 * CFG.reg_c)
         system = np.vstack([root * diffs[active], np.eye(AU_COUNT)])
-        target = np.concatenate([np.full(active.sum(), root * CFG.margin), np.zeros(AU_COUNT)])
+        target = np.concatenate([np.full(active.sum(), root), np.zeros(AU_COUNT)])
         d_active = np.linalg.lstsq(system, target, rcond=None)[0]
-        assert np.array_equal(CFG.margin - diffs @ d_active > 0, active)
+        assert np.array_equal(1.0 - diffs @ d_active > 0, active)
         np.testing.assert_allclose(d, d_active, rtol=0, atol=1e-10 * np.linalg.norm(d))
 
     def test_frames_scaled_by_a_thousandth_with_the_default_trade_off(self):
@@ -301,10 +306,10 @@ class TestNewtonSolver:
         assert np.linalg.norm(grad) <= 1e-9 * certificate_scale(d, v, CFG)
         ia, ib = _pair_indices(len(v))
         diffs = v[ia] - v[ib]
-        assert (CFG.margin - diffs @ d > 0).all()
+        assert (1.0 - diffs @ d > 0).all()
         root = np.sqrt(2.0 * CFG.reg_c)
         system = np.vstack([root * diffs, np.eye(AU_COUNT)])
-        target = np.concatenate([np.full(len(diffs), root * CFG.margin), np.zeros(AU_COUNT)])
+        target = np.concatenate([np.full(len(diffs), root), np.zeros(AU_COUNT)])
         d_ls = np.linalg.lstsq(system, target, rcond=None)[0]
         np.testing.assert_allclose(d, d_ls, rtol=0, atol=1e-9 * np.linalg.norm(d))
 
@@ -322,8 +327,8 @@ class TestNewtonSolver:
     @pytest.mark.parametrize("n", [10, 57, 150])
     def test_one_moving_au_matches_the_one_dimensional_optimum(self, n):
         # With one AU moving, the optimum lies on its axis, at the x > 0 that
-        # minimizes 0.5 x^2 + reg_c sum max(0, margin - x g)^2 over the pair
-        # gaps g. Its active pairs are those with g < margin / x: every
+        # minimizes 0.5 x^2 + reg_c sum max(0, 1 - x g)^2 over the pair
+        # gaps g. Its active pairs are those with g < 1 / x: every
         # g <= 0 and the k smallest positive gaps. The stationary point of
         # the piece with k active positive gaps is the optimum when it keeps
         # exactly those k active.
@@ -331,7 +336,7 @@ class TestNewtonSolver:
         frames = np.zeros((n, AU_COUNT))
         frames[:, 4] = np.cumsum(rng.integers(-1, 3, n)) * 0.5
         v = smooth_frames(frames)
-        config = RankPoolConfig(margin=0.5, reg_c=2.0)
+        config = RankPoolConfig(reg_c=2.0)
         d, _ = solve_rank_kernel(v, config)
         ia, ib = _pair_indices(n)
         gaps = v[ia, 4] - v[ib, 4]
@@ -339,9 +344,9 @@ class TestNewtonSolver:
         found = []
         for k in range(len(positive) + 1):
             active = np.concatenate([gaps[gaps <= 0], positive[:k]])
-            x = 2.0 * config.reg_c * config.margin * active.sum()
+            x = 2.0 * config.reg_c * active.sum()
             x /= 1.0 + 2.0 * config.reg_c * float(active @ active)
-            reach = config.margin / x if x > 0 else np.inf
+            reach = 1.0 / x if x > 0 else np.inf
             if x > 0 and (k == 0 or positive[k - 1] < reach) and (
                 k == len(positive) or positive[k] >= reach
             ):
@@ -361,20 +366,20 @@ class TestNewtonSolver:
 
     @pytest.mark.parametrize(
         "config",
-        [RankPoolConfig(), RankPoolConfig(margin=0.5, reg_c=3.0)],
+        [RankPoolConfig(), RankPoolConfig(reg_c=3.0)],
         ids=["default", "tight"],
     )
     def test_constant_frames_keep_the_zero_kernel(self, config):
         d, trace = solve_rank_kernel(np.full((12, AU_COUNT), 3.0), config)
         assert np.array_equal(d, np.zeros(AU_COUNT))
-        assert trace == [config.reg_c * config.margin**2 * 66]  # 66 pairs at the full margin
+        assert trace == [config.reg_c * 66]  # 66 pairs at the residual 1
 
     def test_trace_starts_at_the_zero_kernel_and_strictly_decreases(self):
         rng = np.random.default_rng(5)
         for n in (2, 7, 40, 150):
-            config = RankPoolConfig(margin=0.5, reg_c=2.0)
+            config = RankPoolConfig(reg_c=2.0)
             _, trace = solve_rank_kernel(smooth_frames(rng.normal(size=(n, AU_COUNT))), config)
-            assert trace[0] == config.reg_c * config.margin**2 * (n * (n - 1) // 2)
+            assert trace[0] == config.reg_c * (n * (n - 1) // 2)
             assert (np.diff(trace) < 0).all()
 
     def test_max_epochs_caps_the_newton_iterations(self):
@@ -430,7 +435,7 @@ def reference_solve(frames, config):
     ia, ib = _pair_indices(n)
     cells = _pair_cells(n)
     per_row = np.arange(n)
-    margin, reg_c = config.margin, config.reg_c
+    reg_c = config.reg_c
     two_c = 2.0 * reg_c
 
     def drop(x):
@@ -440,7 +445,7 @@ def reference_solve(frames, config):
 
     def evaluate(d):
         r = drop(w @ d)
-        r += margin
+        r += 1.0
         active = (r > 0).nonzero()[0]
         hinge = r[active]
         f = 0.5 * float(d @ d) + reg_c * float(np.einsum("i,i->", hinge, hinge))
@@ -479,26 +484,26 @@ def reference_solve(frames, config):
 
 def zero_kernel_step(v, config):
     """``q`` and ``<p, p>`` of the Newton direction ``p`` at the zero kernel,
-    from explicit pair differences: every pair active at the full margin."""
+    from explicit pair differences: every pair active at the residual 1."""
     ia, ib = _pair_indices(len(v))
     diffs = v[ia] - v[ib]
     two_c = 2.0 * config.reg_c
-    grad = -two_c * config.margin * diffs.sum(axis=0)
+    grad = -two_c * diffs.sum(axis=0)
     p = np.linalg.solve(np.eye(v.shape[1]) + two_c * diffs.T @ diffs, -grad)
     return -(diffs @ p), float(p @ p)
 
 
-def newton_pp(q, margin, two_c):
+def newton_pp(q, two_c):
     """The ``<p, p>`` that makes ``q`` a Newton direction from the zero kernel:
-    the slope of the all-active piece, ``pp + two_c * (margin * sum q + sum
-    q**2)`` at ``t = 1``, vanishes."""
-    return -two_c * (margin * float(q.sum()) + float(q @ q))
+    the slope of the all-active piece, ``pp + two_c * (sum q + sum q**2)`` at
+    ``t = 1``, vanishes."""
+    return -two_c * (float(q.sum()) + float(q @ q))
 
 
-def assert_same_ray_minimum(q, margin, pp, two_c):
-    t = _ray_search(q, margin, pp, two_c)
-    t_ref = _line_search(np.full(len(q), margin), q, 0.0, pp, two_c)
-    hinge = np.maximum(margin + t * q, 0.0)
+def assert_same_ray_minimum(q, pp, two_c):
+    t = _ray_search(q, pp, two_c)
+    t_ref = _line_search(np.ones(len(q)), q, 0.0, pp, two_c)
+    hinge = np.maximum(1.0 + t * q, 0.0)
     slope = t * pp + two_c * float(hinge @ q)
     size = t * pp + two_c * float(np.abs(hinge * q).sum())
     assert t > 0 and abs(slope) <= 1e-12 * size
@@ -509,8 +514,8 @@ def assert_same_ray_minimum(q, margin, pp, two_c):
 CONFIGS = [
     (RankPoolConfig(), True),
     (RankPoolConfig(), False),
-    (RankPoolConfig(margin=0.25, reg_c=3.0), True),
-    (RankPoolConfig(margin=2.0, reg_c=0.05), True),
+    (RankPoolConfig(reg_c=3.0), True),
+    (RankPoolConfig(reg_c=0.05), True),
 ]
 
 
@@ -552,19 +557,18 @@ class TestZeroKernelStart:
         frames = drifting_frames(n, seed=n + 2)
         v = smooth_frames(frames) if smooth else frames
         q, pp = zero_kernel_step(v, config)
-        assert_same_ray_minimum(q, config.margin, pp, 2.0 * config.reg_c)
+        assert_same_ray_minimum(q, pp, 2.0 * config.reg_c)
 
     @pytest.mark.parametrize("two_c", [2e-3, 2.0, 2e3])
-    @pytest.mark.parametrize("margin", [0.25, 1.0])
-    def test_ray_search_matches_the_line_search_on_random_directions(self, two_c, margin):
-        rng = np.random.default_rng(int(two_c * 1000) + int(margin * 4))
+    def test_ray_search_matches_the_line_search_on_random_directions(self, two_c):
+        rng = np.random.default_rng(int(two_c * 1000))
         checked = 0
         while checked < 100:
             q = rng.normal(-1.0, 1.0, size=int(rng.integers(1, 3000)))
             q *= 10.0 ** rng.uniform(-2, 2)
-            pp = newton_pp(q, margin, two_c)
+            pp = newton_pp(q, two_c)
             if pp > 0:
-                assert_same_ray_minimum(q, margin, pp, two_c)
+                assert_same_ray_minimum(q, pp, two_c)
                 checked += 1
 
     def test_ray_search_with_tied_q(self):
@@ -577,39 +581,39 @@ class TestZeroKernelStart:
                 [-2.0, -1.0, -0.25, 0.0, 0.25], size=int(rng.integers(2, 60)),
                 p=[0.04, 0.06, 0.7, 0.1, 0.1],
             )
-            pp = newton_pp(q, 1.0, 2.0)
+            pp = newton_pp(q, 2.0)
             if pp > 0:
-                t = assert_same_ray_minimum(q, 1.0, pp, 2.0)
+                t = assert_same_ray_minimum(q, pp, 2.0)
                 past_an_end += t > -1.0 / q.min()
         assert past_an_end >= 20
         # 300 pairs that leave together at t = 2/3 span three blocks of the
         # search's first scan, and the minimum lies past them.
         q = np.array([-1.5] * 300 + [-0.1] * 4000)
-        t = assert_same_ray_minimum(q, 1.0, newton_pp(q, 1.0, 2.0), 2.0)
+        t = assert_same_ray_minimum(q, newton_pp(q, 2.0), 2.0)
         assert 2.0 / 3.0 < t < 10.0
 
     def test_ray_search_with_a_single_pair(self):
-        # n = 2: the pair leaves at -margin / q, after the Newton step's t = 1.
+        # n = 2: the pair leaves at -1 / q, after the Newton step's t = 1.
         for q0 in (-0.9, -0.5, -1e-3):
             q = np.array([q0])
-            t = assert_same_ray_minimum(q, 1.0, newton_pp(q, 1.0, 2.0), 2.0)
+            t = assert_same_ray_minimum(q, newton_pp(q, 2.0), 2.0)
             assert t == pytest.approx(1.0, rel=1e-12)
 
     def test_ray_search_when_no_pair_leaves_before_the_newton_step(self):
-        # Pairs with q >= 0 never leave and those in (-margin, 0) leave after
+        # Pairs with q >= 0 never leave and those in (-1, 0) leave after
         # t = 1, so the all-active piece holds the minimum: the Newton step.
         q = np.array([-0.5] * 10 + [0.0] * 3 + [0.1] * 5)
-        pp = newton_pp(q, 1.0, 2.0)
+        pp = newton_pp(q, 2.0)
         assert pp > 0
-        assert assert_same_ray_minimum(q, 1.0, pp, 2.0) == pytest.approx(1.0, rel=1e-12)
+        assert assert_same_ray_minimum(q, pp, 2.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_ray_search_when_every_q_is_non_negative(self):
-        # No pair ever leaves, and the slope at 0, 2 reg_c margin sum(q), is
+        # No pair ever leaves, and the slope at 0, 2 reg_c sum(q), is
         # not negative: no such direction descends from the zero kernel, so
         # the solver never searches it. The search then gives the stationary
         # point of the one piece, at t <= 0, which lowers nothing.
         q = np.array([0.0, 0.5, 2.0, 2.0])
-        t = _ray_search(q, 1.0, 3.0, 2.0)
+        t = _ray_search(q, 3.0, 2.0)
         assert t == pytest.approx(-2.0 * 4.5 / (3.0 + 2.0 * 8.25), rel=1e-15)
         assert t <= 0.0
 
@@ -624,12 +628,12 @@ class TestZeroKernelStart:
         assert len(trace) - 1 < CFG.max_epochs
         ia, ib = _pair_indices(len(v))
         diffs = v[ia] - v[ib]
-        active = CFG.margin - diffs @ d > 0
+        active = 1.0 - diffs @ d > 0
         root = np.sqrt(2.0 * CFG.reg_c)
         system = np.vstack([root * diffs[active], np.eye(AU_COUNT)])
-        target = np.concatenate([np.full(active.sum(), root * CFG.margin), np.zeros(AU_COUNT)])
+        target = np.concatenate([np.full(active.sum(), root), np.zeros(AU_COUNT)])
         d_active = np.linalg.lstsq(system, target, rcond=None)[0]
-        assert np.array_equal(CFG.margin - diffs @ d_active > 0, active)
+        assert np.array_equal(1.0 - diffs @ d_active > 0, active)
         np.testing.assert_allclose(d, d_active, rtol=0, atol=1e-10 * np.linalg.norm(d))
         assert objective_and_gradient(d, v, CFG)[0] == pytest.approx(trace[-1], rel=1e-12)
 
