@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,8 +42,12 @@ from .evaluate import (
     sweep_from_sidecar,
     write_report_files,
 )
+from .fusion import BadRecord
 from .gmm import likelihood_ratio_decision
-from .ingest import SynthConfig, read_clip, read_corpus, read_json, synth_corpus, write_corpus
+from .ingest import (
+    SynthConfig, field_kinds, kind_error, read_clip, read_corpus, read_json, synth_corpus,
+    write_corpus,
+)
 
 
 class ValidationError(ValueError):
@@ -103,13 +106,13 @@ def _add_flags(parser: argparse.ArgumentParser, rows, config):
         if stage not in groups:
             groups[stage] = parser.add_argument_group(stage)
         owner = getattr(config, section) if section else config
-        default = getattr(owner, field)
-        if isinstance(default, bool):
+        kind, _ = field_kinds(type(owner))[field]
+        if kind is bool:
             groups[stage].add_argument(flag, action="store_true", help=help_text)
-            continue
-        hint = typing.get_type_hints(type(owner))[field]
-        kind = (typing.get_args(hint) or (hint,))[0]  # int | None -> int
-        groups[stage].add_argument(flag, type=kind, default=default, help=help_text)
+        else:
+            groups[stage].add_argument(
+                flag, type=kind, default=getattr(owner, field), help=help_text
+            )
 
 
 def _values_from_args(args, rows) -> dict[str, dict]:
@@ -262,9 +265,13 @@ def _parse_omegas(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    sidecar = load_sidecar(_require_file(args.report, "report sidecar"))
+    path = _require_file(args.report, "report sidecar")
+    sidecar = load_sidecar(path)
     omegas = _parse_omegas(args.omegas)
-    table = sweep_from_sidecar(sidecar, omegas)
+    try:
+        table = sweep_from_sidecar(sidecar, omegas)
+    except BadRecord as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     lines = ["omega\taccuracy"] + [f"{repr(o)}\t{repr(a)}" for o, a in table]
     text = "\n".join(lines) + "\n"
     print(text, end="")
@@ -362,17 +369,9 @@ def _config_type_error(action: argparse.Action, value) -> str | None:
     """What the flag of ``action`` takes, if a config value of its key could
     not come from that flag; None if it could."""
     nullable = action.default is None and not action.required
-    if isinstance(action, argparse._StoreTrueAction):  # noqa: SLF001
-        ok, expected = isinstance(value, bool), "true or false"
-    elif action.type is int:
-        ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif action.type is float:
-        ok, expected = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-    else:
-        ok, expected = isinstance(value, str), "a string"
-    if ok or (value is None and nullable):
-        return None
-    return expected + (" or null" if nullable else "")
+    store_true = isinstance(action, argparse._StoreTrueAction)  # noqa: SLF001
+    kind = bool if store_true else action.type or str
+    return kind_error(kind, nullable, value, null="null")
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fusion as fusion_mod
 from .fusion import FusionConfig, FusionResult, fuse
-from .gmm import EmConfig, GmmModel, fit_em, gmm_json, likelihood_ratio_decision, score_pair
+from .gmm import EmConfig, GmmModel, fit_em, likelihood_ratio_decision, score_pair
 from .ingest import (
     AU_COUNT,
     DEFAULT_STRIDE,
@@ -32,12 +32,12 @@ from .ingest import (
     AUClip,
     Corpus,
     Label,
-    _require_integers,
+    check_kinds,
     check_segmentable,
     pooled_class_frames,
     read_json,
 )
-from .mlp import MlpModel, TrainConfig, mlp_json, predict_probs, train_mlp
+from .mlp import MlpModel, TrainConfig, predict_probs, train_mlp
 from .rankpool import RankPoolConfig, pool_clip
 
 REPORT_VERSION = 1
@@ -71,12 +71,10 @@ class PipelineConfig:
     gmm_fit_frames: int | None = None
 
     def __post_init__(self):
-        _require_integers(self, "window", "stride")
+        check_kinds(self)
         check_segmentable((), self.window, self.stride)
-        if self.gmm_fit_frames is not None:
-            _require_integers(self, "gmm_fit_frames")
-            if self.gmm_fit_frames < 1:
-                raise ValueError("gmm_fit_frames must be >= 1")
+        if self.gmm_fit_frames is not None and self.gmm_fit_frames < 1:
+            raise ValueError("gmm_fit_frames must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -132,16 +130,17 @@ def fold_seed(root_seed: int, participant_id: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
+def _digest(model: GmmModel | MlpModel) -> str:
+    """Digest of the model's entry in the file ``save_model`` writes."""
+    return hashlib.sha256(json.dumps(_model_arrays(model)).encode()).hexdigest()[:16]
+
+
 def hash_gmm(model: GmmModel) -> str:
-    """Digest of the model's ``gmm_json`` text, the bytes of a version-1
-    mixture file, so report rows keep their hashes across model formats."""
-    return hashlib.sha256(gmm_json(model).encode()).hexdigest()[:16]
+    return _digest(model)
 
 
 def hash_mlp(model: MlpModel) -> str:
-    """Digest of the model's ``mlp_json`` text, the bytes of a version-1
-    classifier file, so report rows keep their hashes across model formats."""
-    return hashlib.sha256(mlp_json(model).encode()).hexdigest()[:16]
+    return _digest(model)
 
 
 def _subsample(frames: np.ndarray, cap: int | None) -> np.ndarray:
@@ -393,16 +392,18 @@ def loocv(corpus: Corpus, pipeline: PipelineConfig, jobs: int | None = None) -> 
 _REQUIRED_CONFIG_KEYS = ("window", "stride", "em", "rankpool", "mlp", "fusion", "seed")
 
 
-def _check_configs(report: LoocvReport):
+def _check_configs(configs: dict):
+    if not isinstance(configs, dict):
+        raise ConfigIncomplete("report configs must be a JSON object")
     for key in _REQUIRED_CONFIG_KEYS:
-        value = report.configs.get(key)
+        value = configs.get(key)
         if value is None or value == {} or value == "":
             raise ConfigIncomplete(f"report config field {key!r} is missing or empty")
 
 
 def render_report(report: LoocvReport) -> str:
     """Per-participant decision table plus a per-system accuracy summary."""
-    _check_configs(report)
+    _check_configs(report.configs)
     lines = ["# leave-one-out report"]
     lines.append(f"# seed: {report.seed}")
     for key in _REQUIRED_CONFIG_KEYS:
@@ -437,7 +438,7 @@ def render_report(report: LoocvReport) -> str:
 
 
 def report_to_sidecar(report: LoocvReport) -> dict:
-    _check_configs(report)
+    _check_configs(report.configs)
     return {
         "version": REPORT_VERSION,
         "seed": report.seed,
@@ -506,35 +507,19 @@ def load_sidecar(path: str | Path) -> dict:
         raise ValueError(f"{path}: rows must be a list of JSON objects")
     if not rows:
         raise ValueError(f"{path}: rows is empty")
-    configs = payload["configs"]
-    fusion_cfg = configs.get("fusion") if isinstance(configs, dict) else None
-    if not isinstance(fusion_cfg, dict):
-        raise ValueError(f"{path}: configs.fusion must be a JSON object")
-    missing = [key for key in ("omega", "tau", "normalize_ll") if key not in fusion_cfg]
-    if missing:
-        raise ValueError(f"{path}: configs.fusion is missing keys {missing}")
-    for key, ok, expected in (
-        ("omega", _is_number(fusion_cfg["omega"]), "a number"),
-        ("tau", fusion_cfg["tau"] is None or _is_number(fusion_cfg["tau"]), "a number or null"),
-        ("normalize_ll", isinstance(fusion_cfg["normalize_ll"], bool), "true or false"),
-    ):
-        if not ok:
-            found = json.dumps(fusion_cfg[key])
-            raise ValueError(f"{path}: configs.fusion.{key}: expected {expected}, found {found}")
+    try:
+        _check_configs(payload["configs"])
+        fusion = payload["configs"]["fusion"]
+        FusionConfig(**fusion)
+        missing = [f.name for f in fields(FusionConfig) if f.name not in fusion]
+        if missing:
+            raise ValueError(f"configs.fusion is missing keys {missing}")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return payload
-
-
-def _is_number(value) -> bool:
-    """True for a JSON number; a bool is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def sweep_from_sidecar(payload: dict, omegas) -> fusion_mod.SweepTable:
     """Re-fuse a cached run's rows per omega; no model retraining."""
-    fusion_cfg = payload["configs"]["fusion"]
-    base = FusionConfig(
-        omega=fusion_cfg["omega"],
-        tau=fusion_cfg["tau"],
-        normalize_ll=fusion_cfg["normalize_ll"],
-    )
+    base = FusionConfig(**payload["configs"]["fusion"])
     return fusion_mod.sweep_omega(payload["rows"], omegas, base)

@@ -30,11 +30,15 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import Label
+from .ingest import Label, check_kinds
 
 
 class EmptyVotes(ValueError):
     """Fusion needs at least one segment vote."""
+
+
+class BadRecord(ValueError):
+    """A cached record that re-fusion cannot use."""
 
 
 def _check_omega(omega):
@@ -51,6 +55,7 @@ class FusionConfig:
     normalize_ll: bool = True  # divide the likelihood gap by the frame count
 
     def __post_init__(self):
+        check_kinds(self)
         # Each check is written so that NaN fails it.
         _check_omega(self.omega)
         if self.tau is not None and not -math.inf < self.tau < math.inf:
@@ -199,14 +204,14 @@ def sweep_omega(
             where += f" ({record['participant_id']})"
         missing = [k for k in RECORD_KEYS if k not in record]
         if missing:
-            raise ValueError(f"cached {where} is missing {missing}")
+            raise BadRecord(f"cached {where} is missing {missing}")
         # A record is checked once here, at the base weight, so a bad one is
         # reported with its row; omega never affects the check.
         try:
             label = Label(record["label"])
             counts = refuse_record(record, base.omega, base)
         except (TypeError, ValueError) as exc:  # a bad label, count or null value
-            raise ValueError(f"{where}: {exc}") from None
+            raise BadRecord(f"{where}: {exc}") from None
         checked.append((label, counts, int(record["n_frames"])))
     grid = np.array([float(omega) for omega in omegas], dtype=np.float64)
     _check_omega(grid)

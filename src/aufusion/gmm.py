@@ -25,14 +25,13 @@ holds the full responsibility matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .ingest import AUClip, Label, _require_integers, _serial_rows
+from .ingest import AUClip, Label, _serial_rows, check_kinds
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -47,7 +46,7 @@ class EmConfig:
     n_init: int = 3
 
     def __post_init__(self):
-        _require_integers(self, "n_components", "max_iters", "seed", "n_init")
+        check_kinds(self)
         # Each check is written so that NaN fails it.
         if not self.n_components >= 1:
             raise ValueError("n_components must be >= 1")
@@ -315,17 +314,3 @@ def score_pair(dep: GmmModel, ndep: GmmModel, clip: AUClip) -> tuple[float, floa
 def likelihood_ratio_decision(ll_dep: float, ll_ndep: float) -> Label:
     """Depressed iff the depressed likelihood is strictly larger."""
     return Label.DEPRESSED if ll_dep > ll_ndep else Label.NONDEPRESSED
-
-
-def gmm_json(model: GmmModel) -> str:
-    """The model in the layout of a version-1 mixture file, the text that
-    ``evaluate.hash_gmm`` digests; floats keep shortest round-trip precision."""
-    payload = {
-        "format_version": 1,
-        "n": model.n,
-        "weights": model.weights.tolist(),
-        "means": model.means.tolist(),
-        "variances": model.variances.tolist(),
-        "em_config": None,
-    }
-    return json.dumps(payload, indent=1) + "\n"

@@ -10,10 +10,12 @@ everything else (frame counters, timestamps, confidences) is ignored.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -61,13 +63,43 @@ class Label(Enum):
     NONDEPRESSED = "NonDepressed"
 
 
-def _require_integers(config, *fields: str):
-    """Raise unless each named field of ``config`` holds an ``int`` (a bool
-    is not a count): the rule ``--config`` values of integer flags follow."""
-    for field in fields:
-        value = getattr(config, field)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{field} must be an integer, found {value!r}")
+# Each settable kind in words. A bool is neither an integer nor a number,
+# and an int is a number.
+_KIND_WORDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+@functools.cache
+def field_kinds(cls) -> dict[str, tuple[type, bool]]:
+    """Each field of the dataclass ``cls`` with the type its annotation names
+    and whether the annotation adds ``| None``; read once per class."""
+    hints = typing.get_type_hints(cls)
+    kinds = {}
+    for field in fields(cls):
+        args = typing.get_args(hints[field.name])  # (X, NoneType) for X | None
+        kinds[field.name] = (args[0], True) if args else (hints[field.name], False)
+    return kinds
+
+
+def kind_error(kind: type, nullable: bool, value, null: str = "None") -> str | None:
+    """What a setting of ``kind`` (or None, when ``nullable``) takes, in words
+    that call None ``null``, if ``value`` is not that; None if it is."""
+    if value is None and nullable:
+        return None
+    if isinstance(value, (int, float) if kind is float else kind) and (
+        kind is bool or not isinstance(value, bool)
+    ):
+        return None
+    return _KIND_WORDS.get(kind, kind.__name__) + (f" or {null}" if nullable else "")
+
+
+def check_kinds(config):
+    """Raise a ValueError naming the first field of the dataclass ``config``
+    whose value is not of its annotated type."""
+    for name, (kind, nullable) in field_kinds(type(config)).items():
+        value = getattr(config, name)
+        expected = kind_error(kind, nullable, value)
+        if expected:
+            raise ValueError(f"{name} must be {expected}, found {value!r}")
 
 
 # OpenBLAS (0.3.31) runs a matrix product on the calling thread while it has
@@ -175,6 +207,7 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self):
+        check_kinds(self)
         # Each check is written so that NaN fails it.
         if self.n_participants < 2 or self.n_participants % 2 != 0:
             raise ValueError("n_participants must be even and >= 2 (balanced classes)")

@@ -13,12 +13,11 @@ deterministic given the config seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import _require_integers
+from .ingest import check_kinds
 
 _PROB_EPS = 1e-15  # keep predicted probabilities strictly inside (0, 1)
 
@@ -41,7 +40,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(self, "hidden1", "hidden2", "epochs", "batch_size", "seed")
+        check_kinds(self)
         # Each check is written so that NaN fails it.
         if not (self.hidden1 >= 1 and self.hidden2 >= 1):
             raise ValueError("hidden sizes must be >= 1")
@@ -198,17 +197,3 @@ def predict_probs(model: MlpModel, descriptors) -> np.ndarray:
     if x.ndim == 1:
         x = x[None, :]
     return _forward(model.params(), (x - model.input_mean) / model.input_std)[-1]
-
-
-def mlp_json(model: MlpModel) -> str:
-    """The model in the layout of a version-1 classifier file, the text that
-    ``evaluate.hash_mlp`` digests."""
-    payload = {
-        "format_version": 1,
-        "shapes": {k: list(v.shape) for k, v in model.params().items()},
-        "params": {k: v.tolist() for k, v in model.params().items()},
-        "input_mean": model.input_mean.tolist(),
-        "input_std": model.input_std.tolist(),
-        "train_config": None,
-    }
-    return json.dumps(payload, indent=1) + "\n"

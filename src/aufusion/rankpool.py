@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ingest import AUClip, Segment, _freeze, _require_integers, _serial_rows, segment_clip
+from .ingest import AUClip, Segment, _freeze, _serial_rows, check_kinds, segment_clip
 
 _GRAD_TOL = 1e-9  # the gradient certificate's relative tolerance
 _LINE_PASSES = 64  # line-search passes before it settles for the step it has
@@ -60,7 +60,7 @@ class RankPoolConfig:
     max_epochs: int = 200  # cap on Newton iterations
 
     def __post_init__(self):
-        _require_integers(self, "max_epochs")
+        check_kinds(self)
         # Each check is written so that NaN fails it.
         if not self.reg_c > 0:
             raise ValueError("reg_c must be positive")

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import re
 import shlex
 from dataclasses import replace
@@ -10,7 +11,6 @@ import pytest
 
 from aufusion.cli import _pipeline_from_args, build_parser, main
 from aufusion.evaluate import PipelineConfig, fold_seed, hash_gmm, hash_mlp, load_model
-from aufusion.gmm import gmm_json
 from aufusion.ingest import Corpus, read_corpus, write_corpus
 
 MIXTURE_FLAGS = ["--components", "4", "--n-init", "1"]
@@ -23,6 +23,18 @@ def tree_digest(root: Path) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+# A one-component mixture file as the version-1 format wrote it.
+V1_MIXTURE_FILE = """{
+ "format_version": 1,
+ "n": 1,
+ "weights": [1.0],
+ "means": [[0.0]],
+ "variances": [[1.0]],
+ "em_config": null
+}
+"""
 
 
 def synth(tmp_path, name="corpus", n=4, frames=450, seed=3, extra=()):
@@ -217,16 +229,26 @@ class TestSweepCommand:
             (lambda p: p["rows"].append(7), "rows must be a list of JSON objects"),
             (lambda p: p["rows"][2].update(n_frames=None), "record 2 (P003): int() argument"),
             (lambda p: p["configs"]["fusion"].update(omega="1"),
-             'configs.fusion.omega: expected a number, found "1"'),
+             "omega must be a number, found '1'"),
             (lambda p: p["configs"]["fusion"].update(omega=True),
-             "configs.fusion.omega: expected a number, found true"),
+             "omega must be a number, found True"),
             (lambda p: p["configs"]["fusion"].update(tau="0"),
-             'configs.fusion.tau: expected a number or null, found "0"'),
+             "tau must be a number or None, found '0'"),
             (lambda p: p["configs"]["fusion"].update(normalize_ll="yes"),
-             'configs.fusion.normalize_ll: expected true or false, found "yes"'),
+             "normalize_ll must be true or false, found 'yes'"),
+            (lambda p: p["configs"]["fusion"].update(omega=-1), "omega must be nonnegative"),
+            (lambda p: p["configs"]["fusion"].update(tau=math.inf), "tau must be finite"),
+            (lambda p: p["configs"]["fusion"].update(bogus=1),
+             "unexpected keyword argument 'bogus'"),
+            (lambda p: p["rows"][0].update(n_dep_votes=99),
+             "record 0 (P001): vote count out of range"),
+            (lambda p: p["rows"][0].update(ll_dep="x"),
+             "record 0 (P001): could not convert string to float: 'x'"),
+            (lambda p: p["configs"].pop("em"), "report config field 'em' is missing or empty"),
         ],
         ids=["bad-label", "no-omega", "row-not-object", "null-frame-count", "string-omega",
-             "bool-omega", "string-tau", "string-normalize-ll"],
+             "bool-omega", "string-tau", "string-normalize-ll", "negative-omega",
+             "infinite-tau", "unknown-fusion-key", "vote-count-99", "string-ll", "no-em-config"],
     )
     def test_bad_sidecar_is_usage_error_located(self, run_dir, tmp_path, capsys, edit, where):
         payload = json.loads((run_dir / "report.json").read_text())
@@ -236,9 +258,8 @@ class TestSweepCommand:
         code = main(["sweep", "--report", str(bad), "--omegas", "0,1"])
         assert code == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
         assert where in err
-        if "record" not in where:
-            assert f"error: {bad}: " in err
 
 
 class TestModelCommands:
@@ -334,8 +355,9 @@ class TestReportCommand:
              "row 1 (P002): label: 'Sad' is not a valid Label"),
             (lambda p: p["rows"][3].update(combined_decision=None),
              "row 3 (P004): combined_decision: None is not a valid Label"),
+            (lambda p: p["configs"].pop("em"), "report config field 'em' is missing or empty"),
         ],
-        ids=["missing-field", "extra-field", "bad-label", "null-decision"],
+        ids=["missing-field", "extra-field", "bad-label", "null-decision", "no-em-config"],
     )
     def test_bad_row_is_usage_error_naming_file_row_and_participant(
         self, run_dir, tmp_path, capsys, edit, where
@@ -437,12 +459,13 @@ class TestConfigFile:
             ("train", {"window": True}, "window", "an integer, found true"),
             ("train", {"gmm_fit_frames": 1.5}, "gmm_fit_frames", "an integer or null, found 1.5"),
             ("train", {"reg_c": "1"}, "reg_c", 'a number, found "1"'),
+            ("train", {"reg_c": True}, "reg_c", "a number, found true"),
             ("score", {"raw_ll": "yes"}, "raw_ll", 'true or false, found "yes"'),
             ("train", {"stride": None}, "stride", "an integer, found null"),
             ("train", {"corpus": 3}, "corpus", "a string, found 3"),
         ],
         ids=["int-float", "int-whole-float", "int-bool", "nullable-int", "float-string",
-             "switch-string", "null-without-none-default", "path-number"],
+             "float-bool", "switch-string", "null-without-none-default", "path-number"],
     )
     def test_value_of_the_wrong_type_is_usage_error_naming_file_and_key(
         self, tmp_path, capsys, command, values, key, expected
@@ -687,6 +710,7 @@ class TestInputErrorsNameTheFile:
             (lambda p: p["mlp"].update(bogus=1), "unexpected keyword argument 'bogus'"),
             (lambda p: p.update(window=150.0), "window must be an integer, found 150.0"),
             (lambda p: p.update(stride=0), "stride must be >= 1"),
+            (lambda p: p["rankpool"].update(reg_c=True), "reg_c must be a number, found True"),
             (lambda p: p["mlp"].update(
                 {k: p["mlp"][k][:-1] for k in ("w1", "input_mean", "input_std")}),
              "take (17, 17, 16) inputs, not 17"),
@@ -695,7 +719,7 @@ class TestInputErrorsNameTheFile:
              "take (16, 17, 17) inputs, not 17"),
         ],
         ids=["gmm-no-weights", "gmm-short-weights", "mlp-unknown-key", "float-window",
-             "zero-stride", "mlp-narrow", "gmm-narrow"],
+             "zero-stride", "bool-reg-c", "mlp-narrow", "gmm-narrow"],
     )
     def test_model_with_a_bad_value(self, workspace, tmp_path, capsys, edit, message):
         _, corpus, model = workspace
@@ -710,10 +734,9 @@ class TestInputErrorsNameTheFile:
         assert message in err
 
     def test_version_1_mixture_file_is_usage_error(self, workspace, tmp_path, capsys):
-        _, corpus, model = workspace
-        (dep, _, _), _ = load_model(model, PipelineConfig())
+        _, corpus, _ = workspace
         old = tmp_path / "gmm-depressed.json"
-        old.write_text(gmm_json(dep))
+        old.write_text(V1_MIXTURE_FILE)
         code = main(["score", "--clip", str(corpus / "clips" / "P001.csv"), "--model", str(old)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {old}: unsupported model format: 1\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -32,7 +33,8 @@ from aufusion.evaluate import (
     train_fold_models,
     write_report_files,
 )
-from aufusion.gmm import EmConfig, GmmModel, gmm_json
+from aufusion.fusion import FusionConfig
+from aufusion.gmm import EmConfig, GmmModel
 from aufusion.ingest import (
     AU_COUNT,
     AUClip,
@@ -85,6 +87,39 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=message):
             PipelineConfig(**pooling)
         assert PipelineConfig(window=2, stride=1).window == 2
+
+
+def kind_cases():
+    """A case (config class, field, value, accepted) for each value tried on
+    each field of each config class, from the annotation text of the field."""
+    for cls in (EmConfig, TrainConfig, RankPoolConfig, FusionConfig, PipelineConfig, SynthConfig):
+        for field in dataclasses.fields(cls):
+            kind = field.type.removesuffix(" | None")
+            tried = [(None, kind != field.type)]
+            if kind == "int":
+                tried += [(1.5, False), (True, False), ("1", False)]
+            elif kind == "float":
+                whole = 0 if field.name == "dropout" else 2  # an int is a number
+                tried += [(whole, True), (True, False), ("1", False)]
+            elif kind == "bool":
+                tried += [(1, False), ("yes", False)]
+            else:  # a nested config
+                tried += [({}, False)]
+            for value, accepted in tried:
+                yield pytest.param(
+                    cls, field.name, value, accepted, id=f"{cls.__name__}.{field.name}={value!r}"
+                )
+
+
+class TestConfigFieldKinds:
+    @pytest.mark.parametrize("cls, name, value, accepted", kind_cases())
+    def test_each_field_takes_only_its_annotated_kind(self, cls, name, value, accepted):
+        if accepted:
+            assert getattr(cls(**{name: value}), name) == value
+        else:
+            message = f"^{name} must be .*, found {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
+                cls(**{name: value})
 
 
 class TestAccuracy:
@@ -232,12 +267,22 @@ class TestNoLeakageAndDeterminism:
         assert a_txt.read_bytes() == b_txt.read_bytes()
         assert a_json.read_bytes() == b_json.read_bytes()
 
-    def test_model_hashes_digest_the_version_1_file_bytes(self):
-        # The digests of the files that version-1 ``save_gmm`` and
-        # ``save_mlp`` wrote for these models: report rows keep their hashes.
-        gmm, mlp = tiny_models()[::2]
-        assert hash_gmm(gmm) == "304b6bff75e9337c"
-        assert hash_mlp(mlp) == "762d3e6796cd3e2a"
+    def test_row_hashes_digest_the_model_file_entries(
+        self, small_corpus, small_report, tmp_path
+    ):
+        # A fold's models saved as ``train`` saves them: each of the row's
+        # hashes is the digest of one model's entry in that file.
+        row = small_report.rows[0]
+        descriptors = pool_corpus(small_corpus, FAST_PIPELINE)
+        models = train_fold_models(small_corpus, row.participant_id, FAST_PIPELINE, descriptors)
+        path = tmp_path / "model.json"
+        save_model(path, models, FAST_PIPELINE)
+        entries = json.loads(path.read_text())
+        digests = [
+            hashlib.sha256(json.dumps(entries[key]).encode()).hexdigest()[:16]
+            for key in ("depressed", "nondepressed", "mlp")
+        ]
+        assert digests == [row.gmm_dep_hash, row.gmm_ndep_hash, row.mlp_hash]
 
     def test_fold_seed_stable(self):
         assert fold_seed(7, "P001") == fold_seed(7, "P001")
@@ -457,7 +502,10 @@ class TestJsonArtifactErrorsNameTheFile:
 
     def test_version_1_mixture_file_names_the_file(self, tmp_path):
         path = tmp_path / "gmm-depressed.json"
-        path.write_text(gmm_json(tiny_models()[0]))
+        path.write_text(
+            '{"format_version": 1, "n": 1, "weights": [1.0], "means": [[0.0]],'
+            ' "variances": [[1.0]], "em_config": null}'
+        )
         message = f"{path}: unsupported model format: 1"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_with_defaults(path)
